@@ -40,6 +40,7 @@ from .errors import (
     EmptyRate,
     FormulaSyntaxError,
     IncoherentTails,
+    MalformedInput,
     MetastableError,
     NonpositiveDelta,
     NonpositiveEpsilon,
@@ -48,6 +49,7 @@ from .errors import (
     NotPartialOrder,
     NotStrictlyIncreasing,
     PreconditionViolated,
+    RateTooLarge,
     RealQuantifier,
     SamplingDomainError,
     SortMismatch,

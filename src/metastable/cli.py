@@ -14,13 +14,14 @@ reports to machine-readable form.  METASTABLE_SEED seeds the generators.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 from . import dct as dct_mod
 from . import measure as measure_mod
 from .directed import Sampling, parse_f_expression, sampling_from_json
-from .errors import MetastableError
+from .errors import MalformedInput, MetastableError
 from .generators import monotone_slice_class
 from .henson import (
     approx_satisfies,
@@ -35,6 +36,7 @@ from .netcore import (
     eps_cauchy_exact,
     monotone_uniform_rate,
     osc_total_exact,
+    rate_interval,
     rate_witness,
     sequence_from_csv,
     sequence_from_json,
@@ -72,11 +74,18 @@ def _parse_rate_set(spec: str) -> frozenset:
     if spec.startswith("@"):
         data = _load_json(spec[1:])
         if isinstance(data, dict):
-            data = data["E"]
-        return frozenset(int(i) for i in data)
+            data = data.get("E")
+        if not (isinstance(data, list)
+                and all(isinstance(i, int) and not isinstance(i, bool)
+                        for i in data)):
+            raise MalformedInput(
+                f"rate file {spec[1:]}: expected a list of integers "
+                'or {"E": [...]}'
+            )
+        return frozenset(data)
     if ".." in spec:
         lo, hi = spec.split("..", 1)
-        return frozenset(range(int(lo), int(hi) + 1))
+        return rate_interval(int(lo), int(hi))
     return frozenset(int(part) for part in spec.split(","))
 
 
@@ -253,7 +262,10 @@ def cmd_dct_search(args) -> int:
 # -- wiring -----------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and building it costs more than a small analysis."""
     top = argparse.ArgumentParser(
         prog="metastable",
         description="Metastable convergence rates, positive bounded formulas, "

@@ -183,7 +183,10 @@ class Sampling:
     def max_index(self, i) -> int:
         if self.is_from_function:
             return self.f(i)
-        return max(self.eta(i))
+        window = self.eta(i)
+        if not window:
+            raise SamplingDomainError(f"sampling has an empty window at {i!r}")
+        return window[-1]
 
     @property
     def key(self) -> str:

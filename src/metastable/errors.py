@@ -46,6 +46,16 @@ class UnsupportedSampling(MetastableError):
     """Exact eta-oscillation needs a sampling with a declared affine tail."""
 
 
+class RateTooLarge(MetastableError):
+    """A requested rate set has more than MAX_RATE_SIZE elements."""
+
+
+# -- input files ------------------------------------------------------------
+
+class MalformedInput(MetastableError):
+    """An input document does not follow its file format."""
+
+
 # -- formulas ---------------------------------------------------------------
 
 class FormulaSyntaxError(MetastableError):

@@ -9,6 +9,16 @@ computations.  Everything else returns explicitly flagged upper bounds.
 Values are exact rationals (scalars, or tuples under the sup metric) by
 default.  A float mode exists for ingesting measured data; in that mode all
 metastability comparisons use <= eps + tol.
+
+Every window evaluation (rate checks and witnesses, eta-oscillation, the
+minimal-rate search) goes through one kernel, `_window_oscs`.  For a
+function sampling the windows [i, F(i)] of ascending i slide to the right,
+so a min deque and a max deque per coordinate keep the extremes of the
+current window and each sequence value is read at most once: a rate check
+costs O(F(max E) - min E) reads and comparisons, not the sum of the window
+lengths.  Values are compared natively, so rationals stay exact.  Explicit
+samplings fall back to `osc_segment`, the literal definition, which is also
+the oracle the tests hold the kernel to.
 """
 
 from __future__ import annotations
@@ -16,12 +26,21 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import (
+    Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union,
+)
 
 from .directed import Sampling
-from .errors import EmptyRate, NonpositiveEpsilon, UnsupportedSampling
+from .errors import (
+    EmptyRate,
+    MalformedInput,
+    NonpositiveEpsilon,
+    RateTooLarge,
+    UnsupportedSampling,
+)
 from .rationals import format_rational, parse_rational
 
 Scalar = Union[Fraction, float]
@@ -49,6 +68,12 @@ class Periodic:
 
 
 Tail = Union[Constant, Periodic]
+
+# Largest rate set built on request (`monotone_uniform_rate`, `lo..hi` on the
+# command line).  Larger requests are refused before anything is allocated:
+# a rate that size takes about 67 MB as a frozenset, and the next doublings
+# (F = 2n+1 at eps = 1/40 asks for 2**40 elements) exhaust memory.
+MAX_RATE_SIZE = 1 << 20
 
 
 def distance(x: Value, y: Value) -> Scalar:
@@ -156,10 +181,6 @@ def osc_segment(seq, S: Iterable[int]) -> Scalar:
     return osc_points([seq.value(i) for i in indices])
 
 
-def _slack(seq) -> Scalar:
-    return seq.tol if seq.mode == "float" else 0
-
-
 class _CappedSeq:
     """Evaluation guard asserting the finitarity of rate checks.
 
@@ -170,8 +191,6 @@ class _CappedSeq:
     def __init__(self, seq: SequenceSpec, cap: int):
         self._seq = seq
         self.cap = cap
-        self.mode = seq.mode
-        self.tol = seq.tol
 
     def value(self, n: int) -> Value:
         if n > self.cap:
@@ -181,6 +200,73 @@ class _CappedSeq:
         return self._seq.value(n)
 
 
+def _window_oscs(seq: SequenceSpec, eta: Sampling,
+                 indices: Sequence[int]) -> Iterator[Scalar]:
+    """Exact oscillation of eta_i for each i of the ascending `indices`.
+
+    Values are read lazily through a `_CappedSeq` capped at the largest
+    index of any window (F(max indices) for a function sampling), so a
+    caller that stops at a witness i has read nothing past max(eta_i).
+    """
+    if not indices:
+        return
+    if not eta.is_from_function:
+        guarded = _CappedSeq(seq, max(eta.max_index(i) for i in indices))
+        for i in indices:
+            yield osc_segment(guarded, eta.eta(i))
+        return
+    read = _CappedSeq(seq, eta.f(indices[-1])).value
+    tuples = isinstance(seq.prefix[0], tuple)
+    # per coordinate, (index, value) pairs of increasing values (low) and
+    # of decreasing values (high): the fronts are the window's extremes.
+    # The value read last stays at the back of both, so dropping indices
+    # below an i < unread never empties them.
+    width = len(seq.prefix[0]) if tuples else 1
+    tracks = [(deque(), deque()) for _ in range(width)]
+    unread = 0
+    for i in indices:
+        if i >= unread:
+            for low, high in tracks:
+                low.clear()
+                high.clear()
+            unread = i
+        else:
+            for low, high in tracks:
+                while low[0][0] < i:
+                    low.popleft()
+                while high[0][0] < i:
+                    high.popleft()
+        top = eta.f(i)
+        for j in range(unread, top + 1):
+            value = read(j)
+            for (low, high), x in zip(tracks, value if tuples else (value,)):
+                while low and low[-1][1] >= x:
+                    low.pop()
+                low.append((j, x))
+                while high and high[-1][1] <= x:
+                    high.pop()
+                high.append((j, x))
+        unread = top + 1
+        yield max([high[0][1] - low[0][1] for low, high in tracks])
+
+
+def _first_witness(seq: SequenceSpec, eps, eta: Sampling,
+                   indices: Sequence[int]) -> Optional[int]:
+    """First i of the ascending `indices` whose window oscillates <= eps."""
+    bound = _eps_bound(seq, eps)
+    for i, osc in zip(indices, _window_oscs(seq, eta, indices)):
+        if osc <= bound:
+            return i
+    return None
+
+
+def _sorted_rate(E: Iterable[int]) -> list:
+    E = sorted(set(E))
+    if not E:
+        raise EmptyRate("no sequence has an empty rate")
+    return E
+
+
 def metastable_witness(seq: SequenceSpec, eps, eta: Sampling,
                        search_bound: int) -> Optional[int]:
     """Smallest i <= search_bound whose window has oscillation <= eps.
@@ -188,13 +274,9 @@ def metastable_witness(seq: SequenceSpec, eps, eta: Sampling,
     Absence is a value, not an error: metastability itself is infinitary
     and only this bounded search is finitary.
     """
-    eps = _as_eps(seq, eps)
-    if eps < 0:
+    if _as_eps(seq, eps) < 0:
         raise ValueError(f"epsilon must be >= 0, got {eps}")
-    for i in range(search_bound + 1):
-        if osc_segment(seq, eta.eta(i)) <= eps + _slack(seq):
-            return i
-    return None
+    return _first_witness(seq, eps, eta, range(search_bound + 1))
 
 
 def _as_eps(seq, eps) -> Scalar:
@@ -203,35 +285,25 @@ def _as_eps(seq, eps) -> Scalar:
     return parse_rational(eps)
 
 
+def _eps_bound(seq, eps) -> Scalar:
+    """What an oscillation is compared with: eps, plus tol in float mode."""
+    eps = _as_eps(seq, eps)
+    return eps + seq.tol if seq.mode == "float" else eps
+
+
 def check_rate(seq: SequenceSpec, eps, eta: Sampling, E: Iterable[int]) -> bool:
     """Does some i in E witness [eps, eta]-metastability?
 
     Evaluates the sequence only up to max_{i in E} max(eta_i); that
     finiteness is the point of the construction and is asserted.
     """
-    E = sorted(set(E))
-    if not E:
-        raise EmptyRate("no sequence has an empty rate")
-    eps = _as_eps(seq, eps)
-    cap = max(eta.max_index(i) for i in E)
-    guarded = _CappedSeq(seq, cap)
-    slack = _slack(seq)
-    return any(osc_segment(guarded, eta.eta(i)) <= eps + slack for i in E)
+    return rate_witness(seq, eps, eta, E) is not None
 
 
 def rate_witness(seq: SequenceSpec, eps, eta: Sampling,
                  E: Iterable[int]) -> Optional[int]:
     """First witness in E, or None; same finitarity contract as check_rate."""
-    E = sorted(set(E))
-    if not E:
-        raise EmptyRate("no sequence has an empty rate")
-    eps = _as_eps(seq, eps)
-    guarded = _CappedSeq(seq, max(eta.max_index(i) for i in E))
-    slack = _slack(seq)
-    for i in E:
-        if osc_segment(guarded, eta.eta(i)) <= eps + slack:
-            return i
-    return None
+    return _first_witness(seq, eps, eta, _sorted_rate(E))
 
 
 def _sampling_callable(F) -> Callable[[int], int]:
@@ -246,7 +318,8 @@ def monotone_uniform_rate(eps, F) -> frozenset:
     """The uniform rate {0, ..., F^(k)(0)} with k = ceil(1/eps).
 
     Valid for every monotone nondecreasing sequence in [0, 1]: at least one
-    of the k chained window differences cannot exceed eps.
+    of the k chained window differences cannot exceed eps.  Raises
+    RateTooLarge, before building the set, above MAX_RATE_SIZE elements.
     """
     eps = parse_rational(eps)
     if eps <= 0:
@@ -256,7 +329,23 @@ def monotone_uniform_rate(eps, F) -> frozenset:
     top = 0
     for _ in range(k):
         top = f(top)
+        if top >= MAX_RATE_SIZE:
+            raise RateTooLarge(
+                f"the monotone rate at epsilon {format_rational(eps)} has more "
+                f"than MAX_RATE_SIZE = {MAX_RATE_SIZE} elements"
+            )
     return frozenset(range(top + 1))
+
+
+def rate_interval(lo: int, hi: int) -> frozenset:
+    """The rate {lo..hi}; RateTooLarge, before building it, above
+    MAX_RATE_SIZE elements."""
+    if hi - lo + 1 > MAX_RATE_SIZE:
+        raise RateTooLarge(
+            f"rate {lo}..{hi} has {hi - lo + 1} elements, more than "
+            f"MAX_RATE_SIZE = {MAX_RATE_SIZE}"
+        )
+    return frozenset(range(lo, hi + 1))
 
 
 def periodicity_bound(seq: SequenceSpec, eta: Sampling) -> int:
@@ -280,7 +369,7 @@ def osc_eta_exact(seq: SequenceSpec, eta: Sampling) -> Scalar:
     Tail structure makes the infimum a minimum over [0, periodicity bound].
     """
     B = periodicity_bound(seq, eta)
-    return min(osc_segment(seq, eta.eta(i)) for i in range(B + 1))
+    return min(_window_oscs(seq, eta, range(B + 1)))
 
 
 @dataclass(frozen=True)
@@ -295,8 +384,7 @@ def osc_eta_upper(seq: SequenceSpec, eta: Sampling, budget: int) -> OscBound:
     """min over i <= budget of the window oscillation, flagged as an upper bound."""
     if budget < 0:
         raise ValueError("budget must be >= 0")
-    best = min(osc_segment(seq, eta.eta(i)) for i in range(budget + 1))
-    return OscBound(best)
+    return OscBound(min(_window_oscs(seq, eta, range(budget + 1))))
 
 
 def osc_total_exact(seq: SequenceSpec) -> Scalar:
@@ -310,8 +398,7 @@ def osc_total_exact(seq: SequenceSpec) -> Scalar:
 
 def eps_cauchy_exact(seq: SequenceSpec, eps) -> bool:
     """Is the sequence eps-Cauchy?  Equivalent to osc_total_exact <= eps."""
-    eps = _as_eps(seq, eps)
-    return osc_total_exact(seq) <= eps + _slack(seq)
+    return osc_total_exact(seq) <= _eps_bound(seq, eps)
 
 
 @dataclass(frozen=True)
@@ -333,9 +420,9 @@ def uniform_rate_audit(family: Iterable[SequenceSpec], eps, eta: Sampling,
     Returns AllPass (passed=True) or the first counterexample in family
     order; an empty family passes vacuously.
     """
-    E = frozenset(E)
+    E = _sorted_rate(E)
     for idx, seq in enumerate(family):
-        if not check_rate(seq, eps, eta, E):
+        if _first_witness(seq, eps, eta, E) is None:
             return AuditResult(False, seq, idx)
     return AuditResult(True)
 
@@ -344,14 +431,17 @@ def brute_min_uniform_rate(family: Sequence[SequenceSpec], eps, eta: Sampling,
                            horizon: int) -> Optional[frozenset]:
     """Smallest prefix rate {0..m}, m <= horizon, valid for the whole family.
 
-    Returns None when no prefix within the horizon works (infeasible).
+    {0..m} is valid for a member exactly when its first witness in
+    0..horizon is at most m, so m is the largest first witness.  Returns
+    None when some member has none within the horizon (infeasible).
     """
-    family = list(family)
-    for m in range(horizon + 1):
-        E = frozenset(range(m + 1))
-        if uniform_rate_audit(family, eps, eta, E):
-            return E
-    return None
+    top = 0
+    for seq in family:
+        witness = _first_witness(seq, eps, eta, range(horizon + 1))
+        if witness is None:
+            return None
+        top = max(top, witness)
+    return frozenset(range(top + 1))
 
 
 # -- rate collections ---------------------------------------------------------
@@ -454,23 +544,67 @@ def sequence_to_json(seq: SequenceSpec) -> dict:
     }
 
 
+def _is_json_scalar(v) -> bool:
+    return isinstance(v, (str, int, float)) and not isinstance(v, bool)
+
+
+def _is_json_value(v) -> bool:
+    """A scalar, or a nonempty list of scalars (a point under the sup metric)."""
+    return _is_json_scalar(v) or (
+        isinstance(v, list) and bool(v) and all(map(_is_json_scalar, v)))
+
+
 def sequence_from_json(data: dict) -> SequenceSpec:
+    """The inverse of sequence_to_json; MalformedInput on any other shape."""
+    if not isinstance(data, dict):
+        raise MalformedInput(
+            f"a sequence is a JSON object, not a {type(data).__name__}")
+    prefix = data.get("prefix")
+    if not isinstance(prefix, list):
+        raise MalformedInput(f'"prefix" must be a list, got {prefix!r}')
+    for k, v in enumerate(prefix):
+        if not _is_json_value(v):
+            raise MalformedInput(
+                f"prefix entry {k} is neither a value nor a list of values: "
+                f"{v!r}")
     tail_spec = data.get("tail", {"constant": True})
-    if tail_spec.get("constant"):
+    period = tail_spec.get("period") if isinstance(tail_spec, dict) else None
+    if isinstance(tail_spec, dict) and tail_spec.get("constant"):
         tail: Tail = Constant()
+    elif isinstance(period, int) and not isinstance(period, bool):
+        tail = Periodic(period)
     else:
-        tail = Periodic(int(tail_spec["period"]))
+        raise MalformedInput(
+            '"tail" must be {"constant": true} or {"period": p}, '
+            f"got {tail_spec!r}")
+    bound = data.get("bound")
+    if bound is not None and not _is_json_scalar(bound):
+        raise MalformedInput(f'"bound" must be a value, got {bound!r}')
     return SequenceSpec(
-        prefix=tuple(data["prefix"]),
+        prefix=tuple(prefix),
         tail=tail,
-        bound=data.get("bound"),
+        bound=bound,
         mode=data.get("mode", "rational"),
     )
 
 
 def sequence_from_csv(text: str, *, tail: Tail = Constant(),
                       mode: str = "rational") -> SequenceSpec:
-    """One value per line becomes the prefix; the tail mode is declared aside."""
-    rows = [row for row in csv.reader(io.StringIO(text)) if row]
-    values = [row[0].strip() for row in rows]
+    """One value per line becomes the prefix; the tail mode is declared aside.
+
+    Blank lines are skipped; a line holding more than one value raises
+    MalformedInput naming the line.
+    """
+    values = []
+    reader = csv.reader(io.StringIO(text))
+    try:
+        for row in reader:
+            cells = [cell.strip() for cell in row if cell.strip()]
+            if len(cells) > 1:
+                raise MalformedInput(
+                    f"line {reader.line_num}: one value per line, "
+                    f"got {len(cells)}")
+            values.extend(cells)
+    except csv.Error as exc:
+        raise MalformedInput(f"line {reader.line_num}: {exc}") from exc
     return SequenceSpec(prefix=tuple(values), tail=tail, mode=mode)

@@ -5,7 +5,7 @@ import pytest
 
 import metastable as ms
 import metastable.henson as h
-from metastable.cli import main
+from metastable.cli import build_parser, main
 
 
 @pytest.fixture
@@ -195,3 +195,101 @@ class TestDct:
                                "--seed", "4", "--json"], capsys)
         assert code == 0
         assert json.loads(from_env) == json.loads(from_flag)
+
+
+class TestParserReuse:
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_flags_do_not_leak_between_parses(self):
+        parser = build_parser()
+        first = parser.parse_args(["dct", "search", "--F", "n+1", "--eps", "1",
+                                   "--seed", "4", "--json"])
+        second = parser.parse_args(["dct", "search", "--F", "n+2",
+                                    "--eps", "1/2"])
+        assert (first.seed, first.json, first.F) == (4, True, "n+1")
+        assert (second.seed, second.json, second.F) == (None, False, "n+2")
+        assert not hasattr(second, "seq")
+
+    def test_consecutive_commands(self, workdir, capsys):
+        seq = str(workdir / "s.json")
+        code, out = run(["analyze", "--seq", seq, "--eps", "1/2", "--F", "n+1",
+                         "--E", "0..2", "--json"], capsys)
+        assert code == 0 and json.loads(out)["witness"] == 0
+        code, out = run(["rate", "monotone", "--eps", "2/5", "--F", "2n+1"],
+                        capsys)
+        assert code == 0 and out.strip() == "E={0..7}"
+        code, out = run(["analyze", "--seq", seq, "--eps", "0", "--F", "n+1",
+                         "--E", "1"], capsys)
+        assert code == 1 and out.splitlines()[0] == "rate fails"
+        code, out = run(["measure", "integrate", "--file",
+                         str(workdir / "mu.json"), "--function",
+                         str(workdir / "f.json")], capsys)
+        assert code == 0 and out.strip() == "I(f) = 1"
+
+
+def usage_error(args, capsys):
+    code = main(args)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    return err
+
+
+class TestMalformedInput:
+    def analyze(self, seq_path, capsys, F="n+1", E="0..2"):
+        return usage_error(["analyze", "--seq", str(seq_path), "--eps", "1/2",
+                            "--F", F, "--E", E], capsys)
+
+    def test_prefix_not_a_list(self, tmp_path, capsys):
+        (tmp_path / "s.json").write_text('{"prefix": 5}')
+        assert "prefix" in self.analyze(tmp_path / "s.json", capsys)
+
+    def test_top_level_list(self, tmp_path, capsys):
+        (tmp_path / "s.json").write_text('["0", "1"]')
+        assert "JSON object" in self.analyze(tmp_path / "s.json", capsys)
+
+    def test_bad_tail(self, tmp_path, capsys):
+        (tmp_path / "s.json").write_text(
+            '{"prefix": ["0", "1"], "tail": {"period": [2]}}')
+        assert "tail" in self.analyze(tmp_path / "s.json", capsys)
+
+    def test_csv_two_values_on_a_line(self, tmp_path, capsys):
+        (tmp_path / "s.csv").write_text("0\n1/2,3/4\n")
+        assert "line 2" in self.analyze(tmp_path / "s.csv", capsys)
+
+    def test_empty_explicit_window(self, workdir, capsys):
+        eta = json.dumps({"sampling": {"0": [0, 1], "1": []}})
+        err = self.analyze(workdir / "s.json", capsys, F=eta, E="0,1")
+        assert "empty window at 1" in err
+
+    def test_rate_file_not_a_list(self, workdir, tmp_path, capsys):
+        (tmp_path / "E.json").write_text("5")
+        err = self.analyze(workdir / "s.json", capsys,
+                           E=f"@{tmp_path / 'E.json'}")
+        assert "list of integers" in err
+
+
+class TestRateCeiling:
+    def test_monotone_rate_refused(self, capsys):
+        err = usage_error(["rate", "monotone", "--eps", "1/40", "--F", "2n+1"],
+                          capsys)
+        assert str(ms.netcore.MAX_RATE_SIZE) in err
+
+    def test_rate_range_refused(self, workdir, capsys):
+        err = usage_error(["analyze", "--seq", str(workdir / "s.json"),
+                           "--eps", "1/2", "--F", "n+1",
+                           "--E", f"0..{2 ** 40}"], capsys)
+        assert str(2 ** 40 + 1) in err
+
+    def test_library_raises_before_building(self):
+        with pytest.raises(ms.RateTooLarge):
+            ms.monotone_uniform_rate(F(1, 40), ms.parse_f_expression("2n+1"))
+        with pytest.raises(ms.RateTooLarge):
+            ms.netcore.rate_interval(3, 3 + ms.netcore.MAX_RATE_SIZE)
+        assert ms.netcore.rate_interval(3, 5) == frozenset({3, 4, 5})
+
+    def test_benchmark_sized_rate_still_built(self):
+        # eps = 1/16 under 2n+1 is the largest rate the benchmark asks for
+        E = ms.monotone_uniform_rate(F(1, 16), ms.parse_f_expression("2n+1"))
+        assert len(E) == 2 ** 16 < ms.netcore.MAX_RATE_SIZE
