@@ -18,6 +18,8 @@ import functools
 import json
 import os
 import sys
+from fractions import Fraction
+
 from . import dct as dct_mod
 from . import measure as measure_mod
 from .directed import Sampling, parse_f_expression, sampling_from_json
@@ -49,8 +51,9 @@ EXIT_USAGE = 2
 
 
 def _load_json(path: str) -> dict:
+    """A JSON file, with decimal literals read exactly (0.1 is 1/10)."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, parse_float=Fraction)
 
 
 def _load_sequence(path: str) -> SequenceSpec:
@@ -91,7 +94,7 @@ def _parse_rate_set(spec: str) -> frozenset:
 
 def _emit(report: dict, as_json: bool, lines) -> None:
     if as_json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(json.dumps(report, sort_keys=True))
     else:
         for line in lines:
             print(line)
@@ -117,8 +120,7 @@ def cmd_analyze(args) -> int:
         "E": _rate_to_list(E),
         "holds": holds,
         "witness": witness,
-        "osc_total": format_rational(osc_total_exact(seq))
-        if seq.mode == "rational" else osc_total_exact(seq),
+        "osc_total": format_rational(osc_total_exact(seq)),
         "eps_cauchy": eps_cauchy_exact(seq, eps),
     }
     lines = [

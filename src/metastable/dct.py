@@ -55,8 +55,6 @@ class DirectedFamily:
                 f"got {sorted(slices)}, need {sorted(self.measure.omega)}"
             )
         for w, s in slices.items():
-            if s.mode != "rational":
-                raise IncoherentTails(f"slice at {w!r} is not in rational mode")
             if any(isinstance(v, tuple) for v in s.prefix):
                 raise IncoherentTails(f"slice at {w!r} must be scalar-valued")
         norm = self.norm_phi

@@ -19,6 +19,7 @@ from typing import Callable, Iterable, Mapping, Optional
 
 from .errors import (
     AnchorNotLeast,
+    MalformedInput,
     NotDirected,
     NotPartialOrder,
     NotStrictlyIncreasing,
@@ -302,19 +303,38 @@ def sampling_to_json(eta: Sampling) -> dict:
     raise ValueError("only explicit or affine samplings have a JSON form")
 
 
+def _is_natural(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+
 def sampling_from_json(data: dict) -> Sampling:
+    """The inverse of sampling_to_json, also accepting {"F": "kn+c"};
+    MalformedInput, naming the field, on any other shape."""
+    if not isinstance(data, dict):
+        raise MalformedInput(f"a sampling is a JSON object, not {data!r}")
     if "sampling" in data:
-        table = {int(i): tuple(w) for i, w in data["sampling"].items()}
-        return explicit_sampling(table)
-    spec = data["F"]
-    if isinstance(spec, dict):
-        w = int(spec["affine"]["w"])
-        start = int(spec["affine"].get("from", 0))
-        return sampling_from_function(
-            lambda n, w=w: n + w, affine=AffineTail(w, start),
-            label=f"n+{w}" if start == 0 else f"affine:w={w},from={start}",
-        )
-    return parse_f_expression(str(spec))
+        table = data["sampling"]
+        if not (isinstance(table, dict) and all(
+                i.isdecimal() and isinstance(w, list) and all(map(_is_natural, w))
+                for i, w in table.items())):
+            raise MalformedInput('"sampling" must map natural numbers to lists '
+                                 f"of natural numbers, got {table!r}")
+        return explicit_sampling({int(i): tuple(w) for i, w in table.items()})
+    spec = data.get("F")
+    if isinstance(spec, str):
+        return parse_f_expression(spec)
+    affine = spec.get("affine") if isinstance(spec, dict) else None
+    if not isinstance(affine, dict):
+        raise MalformedInput(
+            f'"F" must be "kn+c" or {{"affine": {{"w": w}}}}, got {spec!r}')
+    w, start = affine.get("w"), affine.get("from", 0)
+    if not (_is_natural(w) and _is_natural(start)):
+        raise MalformedInput('"F.affine.w" and "F.affine.from" must be '
+                             f"natural numbers, got {affine!r}")
+    return sampling_from_function(
+        lambda n, w=w: n + w, affine=AffineTail(w, start),
+        label=f"n+{w}" if start == 0 else f"affine:w={w},from={start}",
+    )
 
 
 def parse_f_expression(text: str) -> Sampling:

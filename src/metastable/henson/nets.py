@@ -81,10 +81,8 @@ def encode_sequence_window(seq: SequenceSpec, upto: int,
 
     The directed sort is discrete with one point and one naming constant
     per index; the net symbol is a real-valued function table.  Scalar
-    rational sequences only.
+    sequences only.
     """
-    if seq.mode != "rational":
-        raise ValueError("window encoding needs exact rational values")
     indices = range(upto + 1)
     values = {}
     for n in indices:

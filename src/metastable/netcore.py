@@ -6,9 +6,9 @@ exactness boundary: total oscillation and eta-oscillation are limit
 quantities, and only tail-structured sequences make them finite
 computations.  Everything else returns explicitly flagged upper bounds.
 
-Values are exact rationals (scalars, or tuples under the sup metric) by
-default.  A float mode exists for ingesting measured data; in that mode all
-metastability comparisons use <= eps + tol.
+Values are exact rationals (scalars, or tuples under the sup metric), and
+every metastability comparison is the exact osc <= eps.  Decimal text in a
+file is read exactly ("0.1" is 1/10); Python floats are refused.
 
 Every window evaluation (rate checks and witnesses, eta-oscillation, the
 minimal-rate search) goes through one kernel, `_window_oscs`.  For a
@@ -39,12 +39,12 @@ from .errors import (
     MalformedInput,
     NonpositiveEpsilon,
     RateTooLarge,
+    SamplingDomainError,
     UnsupportedSampling,
 )
 from .rationals import format_rational, parse_rational
 
-Scalar = Union[Fraction, float]
-Value = Union[Scalar, tuple]
+Value = Union[Fraction, tuple]
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,7 @@ Tail = Union[Constant, Periodic]
 MAX_RATE_SIZE = 1 << 20
 
 
-def distance(x: Value, y: Value) -> Scalar:
+def distance(x: Value, y: Value) -> Fraction:
     """Metric on values: |x - y| for scalars, sup metric on tuples."""
     if isinstance(x, tuple) or isinstance(y, tuple):
         if not (isinstance(x, tuple) and isinstance(y, tuple) and len(x) == len(y)):
@@ -85,12 +85,10 @@ def distance(x: Value, y: Value) -> Scalar:
     return abs(x - y)
 
 
-def _coerce_value(v, mode: str) -> Value:
+def _coerce_value(v) -> Value:
     if isinstance(v, (list, tuple)):
-        return tuple(_coerce_value(c, mode) for c in v)
-    if mode == "rational":
-        return parse_rational(v)
-    return float(v)
+        return tuple(map(_coerce_value, v))
+    return parse_rational(v)
 
 
 @dataclass(frozen=True)
@@ -104,14 +102,10 @@ class SequenceSpec:
 
     prefix: tuple
     tail: Tail = Constant()
-    bound: Optional[Scalar] = None
-    mode: str = "rational"
-    tol: float = 1e-12
+    bound: Optional[Fraction] = None
 
     def __post_init__(self):
-        if self.mode not in ("rational", "float"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        prefix = tuple(_coerce_value(v, self.mode) for v in self.prefix)
+        prefix = tuple(map(_coerce_value, self.prefix))
         object.__setattr__(self, "prefix", prefix)
         p = self.tail.period
         if len(prefix) < p or len(prefix) < 1:
@@ -120,16 +114,10 @@ class SequenceSpec:
         if len(dims) > 1:
             raise ValueError("mixed scalar/tuple values")
         diam = self.diameter()
-        if self.bound is None:
-            object.__setattr__(self, "bound", diam)
-        else:
-            bound = (parse_rational(self.bound) if self.mode == "rational"
-                     else float(self.bound))
-            object.__setattr__(self, "bound", bound)
-            if diam > bound + (self.tol if self.mode == "float" else 0):
-                raise ValueError(
-                    f"declared bound {bound} smaller than diameter {diam}"
-                )
+        bound = diam if self.bound is None else parse_rational(self.bound)
+        if diam > bound:
+            raise ValueError(f"declared bound {bound} smaller than diameter {diam}")
+        object.__setattr__(self, "bound", bound)
 
     @property
     def period(self) -> int:
@@ -152,7 +140,7 @@ class SequenceSpec:
         """The values repeated by the tail (the last p prefix entries)."""
         return self.prefix[self.tail_start:]
 
-    def diameter(self) -> Scalar:
+    def diameter(self) -> Fraction:
         """Max pairwise distance among all values the sequence ever takes."""
         return osc_points(self.prefix)
 
@@ -160,7 +148,7 @@ class SequenceSpec:
         return len(set(self.period_values())) == 1
 
 
-def osc_points(points: Sequence[Value]) -> Scalar:
+def osc_points(points: Sequence[Value]) -> Fraction:
     """Max pairwise distance of a finite set, in O(n) per coordinate."""
     pts = list(points)
     if not pts:
@@ -173,7 +161,7 @@ def osc_points(points: Sequence[Value]) -> Scalar:
     return max(pts) - min(pts)
 
 
-def osc_segment(seq, S: Iterable[int]) -> Scalar:
+def osc_segment(seq, S: Iterable[int]) -> Fraction:
     """sup of pairwise distances of the sequence over a finite index set."""
     indices = list(S)
     if not indices:
@@ -201,7 +189,7 @@ class _CappedSeq:
 
 
 def _window_oscs(seq: SequenceSpec, eta: Sampling,
-                 indices: Sequence[int]) -> Iterator[Scalar]:
+                 indices: Sequence[int]) -> Iterator[Fraction]:
     """Exact oscillation of eta_i for each i of the ascending `indices`.
 
     Values are read lazily through a `_CappedSeq` capped at the largest
@@ -215,6 +203,8 @@ def _window_oscs(seq: SequenceSpec, eta: Sampling,
         for i in indices:
             yield osc_segment(guarded, eta.eta(i))
         return
+    if indices[0] < 0:
+        raise SamplingDomainError(f"index {indices[0]} not in ℕ")
     read = _CappedSeq(seq, eta.f(indices[-1])).value
     tuples = isinstance(seq.prefix[0], tuple)
     # per coordinate, (index, value) pairs of increasing values (low) and
@@ -250,12 +240,11 @@ def _window_oscs(seq: SequenceSpec, eta: Sampling,
         yield max([high[0][1] - low[0][1] for low, high in tracks])
 
 
-def _first_witness(seq: SequenceSpec, eps, eta: Sampling,
+def _first_witness(seq: SequenceSpec, eps: Fraction, eta: Sampling,
                    indices: Sequence[int]) -> Optional[int]:
     """First i of the ascending `indices` whose window oscillates <= eps."""
-    bound = _eps_bound(seq, eps)
     for i, osc in zip(indices, _window_oscs(seq, eta, indices)):
-        if osc <= bound:
+        if osc <= eps:
             return i
     return None
 
@@ -274,21 +263,10 @@ def metastable_witness(seq: SequenceSpec, eps, eta: Sampling,
     Absence is a value, not an error: metastability itself is infinitary
     and only this bounded search is finitary.
     """
-    if _as_eps(seq, eps) < 0:
+    eps = parse_rational(eps)
+    if eps < 0:
         raise ValueError(f"epsilon must be >= 0, got {eps}")
     return _first_witness(seq, eps, eta, range(search_bound + 1))
-
-
-def _as_eps(seq, eps) -> Scalar:
-    if seq.mode == "float":
-        return float(parse_rational(eps)) if isinstance(eps, str) else float(eps)
-    return parse_rational(eps)
-
-
-def _eps_bound(seq, eps) -> Scalar:
-    """What an oscillation is compared with: eps, plus tol in float mode."""
-    eps = _as_eps(seq, eps)
-    return eps + seq.tol if seq.mode == "float" else eps
 
 
 def check_rate(seq: SequenceSpec, eps, eta: Sampling, E: Iterable[int]) -> bool:
@@ -303,7 +281,7 @@ def check_rate(seq: SequenceSpec, eps, eta: Sampling, E: Iterable[int]) -> bool:
 def rate_witness(seq: SequenceSpec, eps, eta: Sampling,
                  E: Iterable[int]) -> Optional[int]:
     """First witness in E, or None; same finitarity contract as check_rate."""
-    return _first_witness(seq, eps, eta, _sorted_rate(E))
+    return _first_witness(seq, parse_rational(eps), eta, _sorted_rate(E))
 
 
 def _sampling_callable(F) -> Callable[[int], int]:
@@ -363,7 +341,7 @@ def periodicity_bound(seq: SequenceSpec, eta: Sampling) -> int:
     return T + seq.period * (eta.affine.w + 1)
 
 
-def osc_eta_exact(seq: SequenceSpec, eta: Sampling) -> Scalar:
+def osc_eta_exact(seq: SequenceSpec, eta: Sampling) -> Fraction:
     """Exact inf over all i of the window oscillation osc over eta_i.
 
     Tail structure makes the infimum a minimum over [0, periodicity bound].
@@ -376,7 +354,7 @@ def osc_eta_exact(seq: SequenceSpec, eta: Sampling) -> Scalar:
 class OscBound:
     """A budgeted oscillation estimate; only ever an upper bound."""
 
-    value: Scalar
+    value: Fraction
     upper_bound_only: bool = True
 
 
@@ -387,7 +365,7 @@ def osc_eta_upper(seq: SequenceSpec, eta: Sampling, budget: int) -> OscBound:
     return OscBound(min(_window_oscs(seq, eta, range(budget + 1))))
 
 
-def osc_total_exact(seq: SequenceSpec) -> Scalar:
+def osc_total_exact(seq: SequenceSpec) -> Fraction:
     """Exact total oscillation: the diameter of the tail-period values.
 
     The prefix is irrelevant (the defining quantifier discards every finite
@@ -398,7 +376,7 @@ def osc_total_exact(seq: SequenceSpec) -> Scalar:
 
 def eps_cauchy_exact(seq: SequenceSpec, eps) -> bool:
     """Is the sequence eps-Cauchy?  Equivalent to osc_total_exact <= eps."""
-    return osc_total_exact(seq) <= _eps_bound(seq, eps)
+    return osc_total_exact(seq) <= parse_rational(eps)
 
 
 @dataclass(frozen=True)
@@ -420,7 +398,7 @@ def uniform_rate_audit(family: Iterable[SequenceSpec], eps, eta: Sampling,
     Returns AllPass (passed=True) or the first counterexample in family
     order; an empty family passes vacuously.
     """
-    E = _sorted_rate(E)
+    eps, E = parse_rational(eps), _sorted_rate(E)
     for idx, seq in enumerate(family):
         if _first_witness(seq, eps, eta, E) is None:
             return AuditResult(False, seq, idx)
@@ -435,7 +413,7 @@ def brute_min_uniform_rate(family: Sequence[SequenceSpec], eps, eta: Sampling,
     0..horizon is at most m, so m is the largest first witness.  Returns
     None when some member has none within the horizon (infeasible).
     """
-    top = 0
+    eps, top = parse_rational(eps), 0
     for seq in family:
         witness = _first_witness(seq, eps, eta, range(horizon + 1))
         if witness is None:
@@ -527,25 +505,25 @@ class RateSpec:
 # -- serialization -------------------------------------------------------------
 
 
-def _value_to_json(v: Value, mode: str):
+def _value_to_json(v: Value):
     if isinstance(v, tuple):
-        return [_value_to_json(c, mode) for c in v]
-    return format_rational(v) if mode == "rational" else float(v)
+        return list(map(_value_to_json, v))
+    return format_rational(v)
 
 
 def sequence_to_json(seq: SequenceSpec) -> dict:
     tail = {"constant": True} if isinstance(seq.tail, Constant) \
         else {"period": seq.tail.period}
     return {
-        "prefix": [_value_to_json(v, seq.mode) for v in seq.prefix],
+        "prefix": list(map(_value_to_json, seq.prefix)),
         "tail": tail,
-        "bound": _value_to_json(seq.bound, seq.mode),
-        "mode": seq.mode,
+        "bound": _value_to_json(seq.bound),
     }
 
 
 def _is_json_scalar(v) -> bool:
-    return isinstance(v, (str, int, float)) and not isinstance(v, bool)
+    """A "p/q" string, an int or a Fraction (a decimal literal); no float."""
+    return isinstance(v, (str, int, Fraction)) and not isinstance(v, bool)
 
 
 def _is_json_value(v) -> bool:
@@ -555,7 +533,8 @@ def _is_json_value(v) -> bool:
 
 
 def sequence_from_json(data: dict) -> SequenceSpec:
-    """The inverse of sequence_to_json; MalformedInput on any other shape."""
+    """The inverse of sequence_to_json (an older "mode" key is ignored);
+    MalformedInput on any other shape."""
     if not isinstance(data, dict):
         raise MalformedInput(
             f"a sequence is a JSON object, not a {type(data).__name__}")
@@ -580,20 +559,14 @@ def sequence_from_json(data: dict) -> SequenceSpec:
     bound = data.get("bound")
     if bound is not None and not _is_json_scalar(bound):
         raise MalformedInput(f'"bound" must be a value, got {bound!r}')
-    return SequenceSpec(
-        prefix=tuple(prefix),
-        tail=tail,
-        bound=bound,
-        mode=data.get("mode", "rational"),
-    )
+    return SequenceSpec(prefix=tuple(prefix), tail=tail, bound=bound)
 
 
-def sequence_from_csv(text: str, *, tail: Tail = Constant(),
-                      mode: str = "rational") -> SequenceSpec:
+def sequence_from_csv(text: str, *, tail: Tail = Constant()) -> SequenceSpec:
     """One value per line becomes the prefix; the tail mode is declared aside.
 
-    Blank lines are skipped; a line holding more than one value raises
-    MalformedInput naming the line.
+    Cells are read exactly ("0.1" is 1/10).  Blank lines are skipped; a
+    line holding more than one value raises MalformedInput naming the line.
     """
     values = []
     reader = csv.reader(io.StringIO(text))
@@ -607,4 +580,4 @@ def sequence_from_csv(text: str, *, tail: Tail = Constant(),
             values.extend(cells)
     except csv.Error as exc:
         raise MalformedInput(f"line {reader.line_num}: {exc}") from exc
-    return SequenceSpec(prefix=tuple(values), tail=tail, mode=mode)
+    return SequenceSpec(prefix=tuple(values), tail=tail)

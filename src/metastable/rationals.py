@@ -1,15 +1,15 @@
 """Parsing and formatting of exact rationals for file formats and the CLI.
 
-Rationals travel as ``"p/q"`` strings (bare integers allowed).  Floats are
-rejected everywhere except the explicit float ingestion mode of sequence
-files.
+Rationals travel as ``"p/q"`` strings (bare integers and decimal text
+allowed, read exactly).  Python floats are rejected everywhere: a float has
+already lost the value its text denoted.
 """
 
 from fractions import Fraction
 
 
 def parse_rational(value) -> Fraction:
-    """Accept int, Fraction, or a "p/q" / "n" string; reject floats."""
+    """Accept int, Fraction, or a "p/q" / "n" / decimal string; reject floats."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -18,7 +18,7 @@ def parse_rational(value) -> Fraction:
         return Fraction(value)
     if isinstance(value, float):
         raise ValueError(
-            f"float {value!r} rejected in rational mode; use a p/q string"
+            f"float {value!r} rejected; use a p/q or decimal string"
         )
     if isinstance(value, str):
         try:

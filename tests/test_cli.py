@@ -1,7 +1,13 @@
+import io
 import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import metastable as ms
 import metastable.henson as h
@@ -268,6 +274,102 @@ class TestMalformedInput:
         err = self.analyze(workdir / "s.json", capsys,
                            E=f"@{tmp_path / 'E.json'}")
         assert "list of integers" in err
+
+    @pytest.mark.parametrize("F, field", [
+        ('{"sampling": [1]}', '"sampling"'),
+        ('{"sampling": {"0": 5}}', '"sampling"'),
+        ('{"F": {"x": 1}}', '"F"'),
+        ('{"F": {"affine": {"w": "a"}}}', '"F.affine.w"'),
+    ])
+    def test_malformed_sampling(self, workdir, capsys, F, field):
+        assert field in self.analyze(workdir / "s.json", capsys, F=F)
+
+    def test_negative_rate_index(self, workdir, capsys):
+        err = usage_error(["analyze", "--seq", str(workdir / "s.json"),
+                           "--eps", "1/2", "--F", "n+1", "--E=-3,1"], capsys)
+        assert "index -3 not in" in err
+
+
+class TestExactIngestion:
+    """Decimal literals in any file the CLI loads are read exactly."""
+
+    def test_decimal_sequence(self, tmp_path, capsys):
+        (tmp_path / "s.json").write_text(
+            '{"prefix": [0.1, 0.5], "tail": {"period": 2}}')
+        code, out = run(["analyze", "--seq", str(tmp_path / "s.json"),
+                         "--eps", "1/2", "--F", "n+1", "--E", "0..3",
+                         "--json"], capsys)
+        assert code == 0 and json.loads(out)["osc_total"] == "2/5"
+
+    def test_decimal_measure_and_function(self, tmp_path, capsys):
+        (tmp_path / "mu.json").write_text(
+            '{"omega": ["w1", "w2"], "weights": {"w1": 0.1, "w2": 0.9}, '
+            '"kind": "probability"}')
+        (tmp_path / "f.json").write_text('{"w1": 0.5, "w2": 0}')
+        code, out = run(["measure", "integrate", "--file",
+                         str(tmp_path / "mu.json"), "--function",
+                         str(tmp_path / "f.json")], capsys)
+        assert code == 0 and out.strip() == "I(f) = 1/20"
+
+    def test_decimal_family(self, tmp_path, capsys):
+        (tmp_path / "fam.json").write_text(
+            '{"measure": {"omega": ["w1"], "weights": {"w1": 1.0}, '
+            '"kind": "probability"}, "slices": {"w1": {"prefix": [0.3, 0.1], '
+            '"tail": {"period": 2}}}}')
+        code, out = run(["dct", "check", "--family",
+                         str(tmp_path / "fam.json"), "--json"], capsys)
+        assert code == 0 and json.loads(out)["lhs"] == "1/5"
+
+
+VALID_SEQUENCES = [
+    '{"prefix": [0.1, 0.5], "tail": {"period": 2}}',
+    '{"prefix": ["0", "1/2", [1, 2]]}',
+    '{"prefix": [[0, 1], [1, 0]], "bound": 1, "mode": "float"}',
+    "0\n0.5\n1/3\n",
+]
+JSON_SCALARS = (st.none() | st.booleans() | st.integers(-3, 3)
+                | st.floats(width=16) | st.text(max_size=4))
+JSON_DOCS = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["prefix", "tail", "bound", "period", "constant",
+                         "mode"]), inner, max_size=3),
+    max_leaves=8,
+).map(json.dumps)
+
+
+def near(valid, max_size):
+    """Either a well-formed argument or arbitrary short text."""
+    return st.sampled_from(valid) | st.text(max_size=max_size)
+
+
+class TestFuzz:
+    # derandomized so that tier-1 runs the same examples every time; short
+    # texts keep any index or coefficient they spell small enough to check
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(
+        content=st.sampled_from(VALID_SEQUENCES) | JSON_DOCS
+        | st.text(max_size=12),
+        csv=st.booleans(),
+        F=near(["n+1", "2n+1", '{"sampling": {"0": [0, 1], "1": [1]}}',
+                '{"F": {"affine": {"w": 2}}}', '{"F": "3n+2"}'], 8),
+        E=near(["0..3", "0,2", "1"], 5),
+        eps=near(["1/2", "0", "1/3", "0.25"], 8),
+    )
+    def test_analyze_exits_0_1_or_2(self, content, csv, F, E, eps):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "s.csv" if csv else "s.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(content)
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                try:
+                    code = main(["analyze", "--seq", path, f"--F={F}",
+                                 f"--E={E}", f"--eps={eps}"])
+                except SystemExit as exc:
+                    code = exc.code
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
 
 
 class TestRateCeiling:

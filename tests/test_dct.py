@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction as F
@@ -51,12 +52,17 @@ class TestDirectedFamily:
                 "w2": SequenceSpec(prefix=(0,), tail=Constant()),
             })
 
-    def test_float_slices_rejected(self):
-        measure = MeasureStructure(("w1",), {"w1": 1}, "probability")
-        with pytest.raises(IncoherentTails):
-            DirectedFamily(measure=measure, slices={
-                "w1": SequenceSpec(prefix=(0.5,), tail=Constant(), mode="float")
-            })
+    def test_decimal_slices_exact(self):
+        text = ('{"measure": {"omega": ["w1", "w2"], "kind": "probability", '
+                '"weights": {"w1": 0.75, "w2": 0.25}}, "slices": {'
+                '"w1": {"prefix": [0.1, 0.2]}, "w2": {"prefix": [0.5]}}}')
+        fam = family_from_json(json.loads(text, parse_float=F))
+        assert fam.measure.weights == {"w1": F(3, 4), "w2": F(1, 4)}
+        assert fam.slices["w1"].prefix == (F(1, 10), F(1, 5))
+        assert fam.norm_phi == F(1, 2)
+        with pytest.raises(ValueError):
+            DirectedFamily(measure=fam.measure, slices={
+                "w1": SequenceSpec(prefix=(0.5,)), "w2": fam.slices["w2"]})
 
     def test_norm_phi_validated(self):
         measure = MeasureStructure(("w1",), {"w1": 1}, "probability")

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as F
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from metastable import (
     Constant,
     EmptyRate,
+    MalformedInput,
     NonpositiveEpsilon,
     Periodic,
     RateSpec,
@@ -64,10 +66,16 @@ class TestSequenceSpec:
         with pytest.raises(ValueError):
             SequenceSpec(prefix=(1,), tail=Periodic(2))
 
-    def test_float_mode(self):
-        s = SequenceSpec(prefix=(0.0, 0.5), tail=Constant(), mode="float")
+    def test_decimal_values_exact(self):
+        # decimal text is read exactly, so nothing loosens the comparison:
+        # the window [0, 1] oscillates by exactly 1/2
+        s = SequenceSpec(prefix=("0.0", "0.5"), tail=Constant())
+        assert s.prefix == (0, F(1, 2))
         assert eps_cauchy_exact(s, 0)
-        assert metastable_witness(s, 0.5 - 1e-15, ETA1, 3) == 0
+        assert metastable_witness(s, F(1, 2), ETA1, 3) == 0
+        assert metastable_witness(s, F(1, 2) - F(1, 10**15), ETA1, 3) == 1
+        with pytest.raises(ValueError):
+            SequenceSpec(prefix=(0.5,))
 
     def test_tuple_values_sup_metric(self):
         s = SequenceSpec(prefix=((0, 0), (1, F(1, 2))), tail=Constant())
@@ -350,6 +358,13 @@ class TestSerialization:
         assert s.prefix == (0, F(1, 2), F(3, 4))
         assert isinstance(s.tail, Constant)
 
-    def test_float_json(self):
-        s = SequenceSpec(prefix=(0.25, 0.5), tail=Constant(), mode="float")
+    def test_decimal_json_and_csv_exact(self):
+        data = json.loads('{"prefix": [0.25, 0.1], "bound": 0.5, '
+                          '"mode": "float"}', parse_float=F)
+        s = sequence_from_json(data)
+        assert s.prefix == (F(1, 4), F(1, 10)) and s.bound == F(1, 2)
+        assert "mode" not in sequence_to_json(s)
         assert sequence_from_json(sequence_to_json(s)) == s
+        assert sequence_from_csv("0.1\n").prefix == (F(1, 10),)
+        with pytest.raises(MalformedInput):
+            sequence_from_json({"prefix": [0.25]})

@@ -1,8 +1,8 @@
 """The window kernel against the literal definition.
 
 Every rerouted function is compared with a loop over `osc_segment` on
-generated sequences (scalar and tuple values, constant and periodic tails,
-float mode) and samplings (n+c, kn+c, explicit tables), with rates that
+generated sequences (scalar and tuple values, constant and periodic tails)
+and samplings (n+c, kn+c, explicit tables), with rates that
 have gaps.  A spy sequence shows what a rate check reads.
 """
 
@@ -33,17 +33,14 @@ TABLE_TOP = 14
 
 
 @st.composite
-def sequences(draw, mode=None):
-    mode = mode or draw(st.sampled_from(["rational", "float"]))
+def sequences(draw):
     dim = draw(st.sampled_from([0, 0, 2, 3]))
     scalar = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
     value = scalar if dim == 0 else st.tuples(*[scalar] * dim)
     prefix = draw(st.lists(value, min_size=1, max_size=10))
-    if mode == "float":
-        prefix = [tuple(map(float, v)) if dim else float(v) for v in prefix]
     period = draw(st.integers(0, len(prefix)))
     tail = Periodic(period) if period else Constant()
-    return SequenceSpec(prefix=tuple(prefix), tail=tail, mode=mode)
+    return SequenceSpec(prefix=tuple(prefix), tail=tail)
 
 
 @st.composite
@@ -66,9 +63,8 @@ rates = st.sets(st.integers(0, TABLE_TOP), min_size=1, max_size=6)
 
 
 def literal_witness(seq, eps, eta, indices):
-    bound = float(eps) + seq.tol if seq.mode == "float" else eps
     for i in indices:
-        if osc_segment(seq, eta.eta(i)) <= bound:
+        if osc_segment(seq, eta.eta(i)) <= eps:
             return i
     return None
 
@@ -109,7 +105,7 @@ def test_osc_eta_exact_matches_literal(seq, w):
 
 
 @settings(max_examples=100, deadline=None)
-@given(family=st.lists(sequences(mode="rational"), max_size=5),
+@given(family=st.lists(sequences(), max_size=5),
        eta=samplings(), eps=epsilons, horizon=st.integers(0, TABLE_TOP - 4),
        E=rates)
 def test_family_searches_match_literal(family, eta, eps, horizon, E):
@@ -123,7 +119,7 @@ def test_family_searches_match_literal(family, eta, eps, horizon, E):
 
 
 @settings(max_examples=150, deadline=None)
-@given(seq=sequences(mode="rational"), F_text=st.sampled_from(
+@given(seq=sequences(), F_text=st.sampled_from(
     ["n+1", "n+3", "2n+1", "3n+2"]), eps=epsilons,
     E=st.sets(st.integers(0, 40), min_size=1, max_size=8))
 def test_rate_check_reads_each_needed_value_once(seq, F_text, eps, E):
