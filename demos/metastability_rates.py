@@ -19,8 +19,9 @@ from metastable import (
     osc_eta_upper,
     osc_segment,
     osc_total_exact,
+    parse_f_expression,
     rate_witness,
-    sampling_from_function,
+    sampling_to_json,
     uniform_rate_audit,
 )
 from metastable.generators import (
@@ -39,11 +40,12 @@ climb = SequenceSpec(
 )
 print("climbing sequence:", [str(climb.value(n)) for n in range(8)])
 
-# A sampling chops the index set into finite windows [N, F(N)].
+# A sampling chops the index set into finite windows [N, F(N)].  Over the
+# naturals it is linear, F(n) = kn + c with k, c >= 1, and plain data.
 eta = affine_sampling(1)            # F(n) = n + 1
-eta2 = sampling_from_function(lambda n: 2 * n + 1, label="2n+1")
+eta2 = parse_f_expression("2n+1")   # F(n) = 2n + 1
 print("windows of n+1 at 3:", eta.eta(3))
-print("windows of 2n+1 at 2:", eta2.eta(2))
+print("windows of 2n+1 at 2:", eta2.eta(2), "as JSON:", sampling_to_json(eta2))
 
 # The oscillation of a window is its max pairwise spread.
 print("osc over window {2,3}:", osc_segment(climb, eta.eta(2)))

@@ -19,7 +19,6 @@ from .dct import (
     metastable_dct_search,
 )
 from .directed import (
-    AffineTail,
     DirectedSet,
     Sampling,
     SamplingReport,
@@ -30,7 +29,6 @@ from .directed import (
     make_finite_directed,
     make_nat,
     parse_f_expression,
-    sampling_from_function,
     sampling_from_json,
     sampling_to_json,
     validate_sampling,

@@ -18,7 +18,6 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import dct as dct_mod
 from . import measure as measure_mod
@@ -53,7 +52,7 @@ EXIT_USAGE = 2
 def _load_json(path: str) -> dict:
     """A JSON file, with decimal literals read exactly (0.1 is 1/10)."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh, parse_float=Fraction)
+        return json.load(fh, parse_float=parse_rational)
 
 
 def _load_sequence(path: str) -> SequenceSpec:

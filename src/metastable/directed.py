@@ -6,16 +6,18 @@ kept symbolic (never enumerated); every operation that walks them takes an
 explicit support or budget.
 
 A sampling assigns to each index ``i`` a nonempty finite subset of the tail
-``{j : j >= i}``.  Over the naturals the standard construction takes a
-strictly increasing ``F`` and uses the intervals ``[N, F(N)]``.
+``{j : j >= i}``.  Samplings are plain data that always have a JSON form:
+either linear over the naturals, ``F(n) = k*n + c`` with integers
+``k, c >= 1`` and windows ``[N, F(N)]`` (strictly increasing with
+``F(N) > N`` by construction), or an explicit table.
 """
 
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Optional
+import re
+from dataclasses import dataclass
+from typing import Iterable, Mapping, Optional
 
 from .errors import (
     AnchorNotLeast,
@@ -24,6 +26,7 @@ from .errors import (
     NotPartialOrder,
     NotStrictlyIncreasing,
     SamplingDomainError,
+    UnsupportedSampling,
 )
 
 
@@ -105,76 +108,52 @@ def make_finite_directed(elements, leq_table, anchor) -> DirectedSet:
     return DirectedSet(elements=elems, relation=frozenset(rel), anchor=anchor)
 
 
-@dataclass(frozen=True)
-class AffineTail:
-    """Declares F(i) = i + w for all i >= start; enables exact oscillation."""
+def _is_integer(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
-    w: int
-    start: int = 0
+
+def _is_natural(x) -> bool:
+    return _is_integer(x) and x >= 0
 
 
 @dataclass(frozen=True)
 class Sampling:
-    """A sampling of a directed set.
+    """A sampling, as plain data: linear over ℕ or an explicit table.
 
-    Either generated from a strictly increasing F over ℕ (eta_N = [N, F(N)]),
-    or an explicit finite table i -> finite set.  Function values are
-    memoized and checked lazily: any observed violation of strict growth or
-    of F(N) > N raises NotStrictlyIncreasing.
+    Linear: integers k >= 1 and c >= 1 with F(n) = k*n + c and
+    eta_N = [N, F(N)]; F(N) > N and strict growth hold by construction.
+    Explicit: a finite table i -> finite set of indices (``k`` and ``c``
+    stay None).
     """
 
-    domain: DirectedSet
-    func: Optional[Callable[[int], int]] = None
-    affine: Optional[AffineTail] = None
+    k: Optional[int] = None
+    c: Optional[int] = None
     table: Optional[Mapping] = None
-    label: str = ""
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
-    _keys: list = field(default_factory=list, compare=False, repr=False)
 
     def __post_init__(self):
-        if (self.func is None) == (self.table is None):
-            raise ValueError("exactly one of func/table must be given")
         if self.table is not None:
+            if self.k is not None or self.c is not None:
+                raise ValueError("a sampling is kn+c or a table, not both")
             frozen = {i: tuple(sorted(set(s))) for i, s in self.table.items()}
             object.__setattr__(self, "table", frozen)
-
-    @property
-    def is_from_function(self) -> bool:
-        return self.func is not None
+        elif not (_is_integer(self.k) and _is_integer(self.c)):
+            raise ValueError("a sampling needs integers k and c, or a table; "
+                             f"got k={self.k!r}, c={self.c!r}")
+        elif self.k < 1 or self.c < 1:
+            raise NotStrictlyIncreasing(
+                f"F(n) = {self.k}n+{self.c}: k >= 1 and c >= 1 are required "
+                "for F(N) > N and strict growth")
 
     def f(self, n: int) -> int:
-        """Evaluate F with lazy strictness checks against cached points."""
-        if n in self._cache:
-            return self._cache[n]
-        if self.affine is not None and n >= self.affine.start:
-            value = n + self.affine.w
-        else:
-            value = self.func(n)
-        if not isinstance(value, int):
-            raise NotStrictlyIncreasing(f"F({n}) = {value!r} is not an integer")
-        if value <= n:
-            raise NotStrictlyIncreasing(f"F({n}) = {value} but F(N) > N is required")
-        pos = bisect_left(self._keys, n)
-        if pos > 0:
-            m = self._keys[pos - 1]
-            if self._cache[m] >= value:
-                raise NotStrictlyIncreasing(
-                    f"F({m}) = {self._cache[m]} >= F({n}) = {value}"
-                )
-        if pos < len(self._keys):
-            m = self._keys[pos]
-            if value >= self._cache[m]:
-                raise NotStrictlyIncreasing(
-                    f"F({n}) = {value} >= F({m}) = {self._cache[m]}"
-                )
-        self._cache[n] = value
-        self._keys.insert(pos, n)
-        return value
+        """F(n) = k*n + c; UnsupportedSampling for an explicit table."""
+        if self.table is not None:
+            raise UnsupportedSampling("an explicit sampling has no F")
+        return self.k * n + self.c
 
     def eta(self, i) -> tuple:
         """The window at i, as a sorted tuple of indices."""
-        if self.is_from_function:
-            if not (isinstance(i, int) and i >= 0):
+        if self.table is None:
+            if not _is_natural(i):
                 raise SamplingDomainError(f"index {i!r} not in ℕ")
             return tuple(range(i, self.f(i) + 1))
         if i not in self.table:
@@ -182,7 +161,7 @@ class Sampling:
         return self.table[i]
 
     def max_index(self, i) -> int:
-        if self.is_from_function:
+        if self.table is None:
             return self.f(i)
         window = self.eta(i)
         if not window:
@@ -191,44 +170,23 @@ class Sampling:
 
     @property
     def key(self) -> str:
-        """Stable identifier used to index per-(epsilon, eta) rates."""
-        if self.label:
-            return self.label
+        """Identifier derived from the data ("n+c", "kn+c" or
+        "explicit:{...}"), used to index per-(epsilon, eta) rates."""
         if self.table is not None:
-            body = json.dumps({str(k): list(v) for k, v in self.table.items()},
+            body = json.dumps({str(i): list(w) for i, w in self.table.items()},
                               sort_keys=True)
             return f"explicit:{body}"
-        if self.affine is not None:
-            return f"affine:w={self.affine.w},from={self.affine.start}"
-        return f"func:{id(self.func):x}"
+        return f"n+{self.c}" if self.k == 1 else f"{self.k}n+{self.c}"
 
 
-def sampling_from_function(F: Callable[[int], int], *, affine: Optional[AffineTail] = None,
-                           label: str = "") -> Sampling:
-    """Sampling of ℕ with eta_N = [N, F(N)] for strictly increasing F.
-
-    A couple of points are probed eagerly so that obviously bad functions
-    (such as F(n) = n) fail at construction; the rest is checked lazily.
-    """
-    s = Sampling(domain=make_nat(), func=F, affine=affine, label=label)
-    s.f(0)
-    s.f(1)
-    return s
+def affine_sampling(w: int) -> Sampling:
+    """The sampling generated by F(n) = n + w."""
+    return Sampling(k=1, c=w)
 
 
-def affine_sampling(w: int, *, start: int = 0, label: str = "") -> Sampling:
-    """The sampling generated by F(n) = n + w, with its affine tail declared."""
-    if w < 1:
-        raise NotStrictlyIncreasing(f"affine width {w} must be >= 1")
-    return sampling_from_function(
-        lambda n: n + w, affine=AffineTail(w, start), label=label or f"n+{w}"
-    )
-
-
-def explicit_sampling(table: Mapping, domain: Optional[DirectedSet] = None,
-                      label: str = "") -> Sampling:
+def explicit_sampling(table: Mapping) -> Sampling:
     """A sampling given by an explicit table i -> finite set of indices."""
-    return Sampling(domain=domain or make_nat(), table=dict(table), label=label)
+    return Sampling(table=table)
 
 
 @dataclass(frozen=True)
@@ -263,8 +221,6 @@ def validate_sampling(eta: Sampling, D: DirectedSet,
             window = eta.eta(i)
         except SamplingDomainError:
             return SamplingReport(False, i, f"no window declared at {i!r}")
-        except NotStrictlyIncreasing as exc:
-            return SamplingReport(False, i, str(exc))
         if len(window) == 0:
             return SamplingReport(False, i, f"window at {i!r} is empty")
         for j in window:
@@ -298,18 +254,13 @@ def directed_set_from_json(data: dict) -> DirectedSet:
 def sampling_to_json(eta: Sampling) -> dict:
     if eta.table is not None:
         return {"sampling": {str(i): list(w) for i, w in eta.table.items()}}
-    if eta.affine is not None and eta.affine.start == 0:
-        return {"F": {"affine": {"w": eta.affine.w}}}
-    raise ValueError("only explicit or affine samplings have a JSON form")
-
-
-def _is_natural(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+    return {"F": eta.key}
 
 
 def sampling_from_json(data: dict) -> Sampling:
-    """The inverse of sampling_to_json, also accepting {"F": "kn+c"};
-    MalformedInput, naming the field, on any other shape."""
+    """The inverse of sampling_to_json, also accepting {"F": {"affine":
+    {"w": w}}} (a "from" key there is ignored); MalformedInput, naming the
+    field, on any other shape."""
     if not isinstance(data, dict):
         raise MalformedInput(f"a sampling is a JSON object, not {data!r}")
     if "sampling" in data:
@@ -327,31 +278,19 @@ def sampling_from_json(data: dict) -> Sampling:
     if not isinstance(affine, dict):
         raise MalformedInput(
             f'"F" must be "kn+c" or {{"affine": {{"w": w}}}}, got {spec!r}')
-    w, start = affine.get("w"), affine.get("from", 0)
-    if not (_is_natural(w) and _is_natural(start)):
-        raise MalformedInput('"F.affine.w" and "F.affine.from" must be '
-                             f"natural numbers, got {affine!r}")
-    return sampling_from_function(
-        lambda n, w=w: n + w, affine=AffineTail(w, start),
-        label=f"n+{w}" if start == 0 else f"affine:w={w},from={start}",
-    )
+    w = affine.get("w")
+    if not _is_natural(w):
+        raise MalformedInput(
+            f'"F.affine.w" must be a natural number, got {affine!r}')
+    return affine_sampling(w)
+
+
+_F_EXPRESSION = re.compile(r"(\d*)n(?:\+(\d+))?")
 
 
 def parse_f_expression(text: str) -> Sampling:
-    """Parse "n+c" or "kn+c" into a sampling; "n+c" declares its affine tail."""
-    body = text.strip().replace(" ", "")
-    import re
-
-    m = re.fullmatch(r"(\d*)n(?:\+(\d+))?", body)
+    """Parse "n+c" or "kn+c" (k, c >= 1) into the linear sampling kn+c."""
+    m = _F_EXPRESSION.fullmatch(text.strip().replace(" ", ""))
     if not m:
         raise ValueError(f"cannot parse sampling function {text!r}")
-    k = int(m.group(1)) if m.group(1) else 1
-    c = int(m.group(2)) if m.group(2) else 0
-    if k < 1:
-        raise ValueError(f"coefficient in {text!r} must be >= 1")
-    if k == 1:
-        if c < 1:
-            raise NotStrictlyIncreasing(f"F(n) = n+{c} violates F(N) > N")
-        return affine_sampling(c, label=f"n+{c}")
-    label = f"{k}n+{c}" if c else f"{k}n"
-    return sampling_from_function(lambda n, k=k, c=c: k * n + c, label=label)
+    return Sampling(k=int(m.group(1) or 1), c=int(m.group(2) or 0))

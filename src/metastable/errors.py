@@ -25,11 +25,13 @@ class AnchorNotLeast(MetastableError):
 
 
 class NotStrictlyIncreasing(MetastableError):
-    """A sampling function violated F(n) > n or strict monotonicity."""
+    """A linear sampling kn+c with k < 1 or c < 1: F(N) > N or strict
+    growth would fail."""
 
 
 class SamplingDomainError(MetastableError):
-    """An explicit sampling was queried outside its declared support."""
+    """A sampling was queried outside its domain (ℕ, or the support of an
+    explicit table), or an explicit window is empty."""
 
 
 # -- rates and oscillation -------------------------------------------------
@@ -43,11 +45,13 @@ class NonpositiveEpsilon(MetastableError):
 
 
 class UnsupportedSampling(MetastableError):
-    """Exact eta-oscillation needs a sampling with a declared affine tail."""
+    """The operation needs a linear sampling: kn+c to iterate F, n+c for
+    exact eta-oscillation."""
 
 
 class RateTooLarge(MetastableError):
-    """A requested rate set has more than MAX_RATE_SIZE elements."""
+    """A requested rate set, or one window of a linear sampling that a
+    check is about to read, has more than MAX_RATE_SIZE elements."""
 
 
 # -- input files ------------------------------------------------------------

@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import chain, combinations
 from typing import Iterable, Mapping, Optional, Tuple
 
-from .errors import UVOrder
+from .errors import MalformedInput, UVOrder
 from .rationals import format_rational, parse_rational
 
 KINDS = ("probability", "finite", "signed")
@@ -451,11 +451,33 @@ def measure_to_json(M: MeasureStructure) -> dict:
     return data
 
 
+def _is_label_list(x) -> bool:
+    """A JSON list of sample-point labels (strings or integers)."""
+    return isinstance(x, list) and all(
+        isinstance(w, (str, int)) and not isinstance(w, bool) for w in x)
+
+
 def measure_from_json(data: dict) -> MeasureStructure:
+    """The inverse of measure_to_json; MalformedInput, naming the field, on
+    any other shape."""
+    if not isinstance(data, dict):
+        raise MalformedInput(
+            f"a measure is a JSON object, not a {type(data).__name__}")
+    omega, weights = data.get("omega"), data.get("weights")
     algebra = data.get("algebra", "powerset")
+    if not _is_label_list(omega):
+        raise MalformedInput(
+            f'"omega" must be a list of labels, got {omega!r}')
+    if not isinstance(weights, dict):
+        raise MalformedInput(
+            f'"weights" must map labels to values, got {weights!r}')
+    if algebra != "powerset" and not (
+            isinstance(algebra, list) and all(map(_is_label_list, algebra))):
+        raise MalformedInput('"algebra" must be "powerset" or a list of lists '
+                             f"of labels, got {algebra!r}")
     return MeasureStructure(
-        omega=tuple(data["omega"]),
-        weights=data["weights"],
+        omega=tuple(omega),
+        weights=weights,
         kind=data.get("kind", "finite"),
         algebra=None if algebra == "powerset"
         else tuple(frozenset(A) for A in algebra),

@@ -12,11 +12,12 @@ file is read exactly ("0.1" is 1/10); Python floats are refused.
 
 Every window evaluation (rate checks and witnesses, eta-oscillation, the
 minimal-rate search) goes through one kernel, `_window_oscs`.  For a
-function sampling the windows [i, F(i)] of ascending i slide to the right,
+linear sampling the windows [i, ki+c] of ascending i slide to the right,
 so a min deque and a max deque per coordinate keep the extremes of the
 current window and each sequence value is read at most once: a rate check
 costs O(F(max E) - min E) reads and comparisons, not the sum of the window
-lengths.  Values are compared natively, so rationals stay exact.  Explicit
+lengths.  A window longer than MAX_RATE_SIZE is refused before it is read.
+Values are compared natively, so rationals stay exact.  Explicit
 samplings fall back to `osc_segment`, the literal definition, which is also
 the oracle the tests hold the kernel to.
 """
@@ -29,9 +30,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import (
-    Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union,
-)
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .directed import Sampling
 from .errors import (
@@ -70,9 +69,11 @@ class Periodic:
 Tail = Union[Constant, Periodic]
 
 # Largest rate set built on request (`monotone_uniform_rate`, `lo..hi` on the
-# command line).  Larger requests are refused before anything is allocated:
-# a rate that size takes about 67 MB as a frozenset, and the next doublings
-# (F = 2n+1 at eps = 1/40 asks for 2**40 elements) exhaust memory.
+# command line), and longest window of a linear sampling read.  Larger
+# requests are refused before anything is allocated or read: a rate that
+# size takes about 67 MB as a frozenset, the next doublings (F = 2n+1 at
+# eps = 1/40 asks for 2**40 elements) exhaust memory, and one window of
+# 1000000n+1 at 9 reads 9*10**6 values.
 MAX_RATE_SIZE = 1 << 20
 
 
@@ -193,19 +194,22 @@ def _window_oscs(seq: SequenceSpec, eta: Sampling,
     """Exact oscillation of eta_i for each i of the ascending `indices`.
 
     Values are read lazily through a `_CappedSeq` capped at the largest
-    index of any window (F(max indices) for a function sampling), so a
+    index of any window (F(max indices) for a linear sampling), so a
     caller that stops at a witness i has read nothing past max(eta_i).
+    Before reading a linear window longer than MAX_RATE_SIZE it raises
+    RateTooLarge; the windows before it have been yielded.
     """
     if not indices:
         return
-    if not eta.is_from_function:
+    if eta.table is not None:
         guarded = _CappedSeq(seq, max(eta.max_index(i) for i in indices))
         for i in indices:
             yield osc_segment(guarded, eta.eta(i))
         return
     if indices[0] < 0:
         raise SamplingDomainError(f"index {indices[0]} not in ℕ")
-    read = _CappedSeq(seq, eta.f(indices[-1])).value
+    k, c = eta.k, eta.c
+    read = _CappedSeq(seq, k * indices[-1] + c).value
     tuples = isinstance(seq.prefix[0], tuple)
     # per coordinate, (index, value) pairs of increasing values (low) and
     # of decreasing values (high): the fronts are the window's extremes.
@@ -215,6 +219,12 @@ def _window_oscs(seq: SequenceSpec, eta: Sampling,
     tracks = [(deque(), deque()) for _ in range(width)]
     unread = 0
     for i in indices:
+        top = k * i + c
+        if top - i + 1 > MAX_RATE_SIZE:
+            raise RateTooLarge(
+                f"window {i} of {eta.key} has {top - i + 1} indices, more than "
+                f"MAX_RATE_SIZE = {MAX_RATE_SIZE}"
+            )
         if i >= unread:
             for low, high in tracks:
                 low.clear()
@@ -226,7 +236,6 @@ def _window_oscs(seq: SequenceSpec, eta: Sampling,
                     low.popleft()
                 while high[0][0] < i:
                     high.popleft()
-        top = eta.f(i)
         for j in range(unread, top + 1):
             value = read(j)
             for (low, high), x in zip(tracks, value if tuples else (value,)):
@@ -284,29 +293,20 @@ def rate_witness(seq: SequenceSpec, eps, eta: Sampling,
     return _first_witness(seq, parse_rational(eps), eta, _sorted_rate(E))
 
 
-def _sampling_callable(F) -> Callable[[int], int]:
-    if isinstance(F, Sampling):
-        if not F.is_from_function:
-            raise UnsupportedSampling("iterating F needs a function sampling")
-        return F.f
-    return F
-
-
-def monotone_uniform_rate(eps, F) -> frozenset:
+def monotone_uniform_rate(eps, eta: Sampling) -> frozenset:
     """The uniform rate {0, ..., F^(k)(0)} with k = ceil(1/eps).
 
     Valid for every monotone nondecreasing sequence in [0, 1]: at least one
     of the k chained window differences cannot exceed eps.  Raises
-    RateTooLarge, before building the set, above MAX_RATE_SIZE elements.
+    RateTooLarge, before building the set, above MAX_RATE_SIZE elements,
+    and UnsupportedSampling for an explicit sampling.
     """
     eps = parse_rational(eps)
     if eps <= 0:
         raise NonpositiveEpsilon(f"epsilon must be > 0, got {eps}")
-    f = _sampling_callable(F)
-    k = math.ceil(1 / eps)
     top = 0
-    for _ in range(k):
-        top = f(top)
+    for _ in range(math.ceil(1 / eps)):
+        top = eta.f(top)
         if top >= MAX_RATE_SIZE:
             raise RateTooLarge(
                 f"the monotone rate at epsilon {format_rational(eps)} has more "
@@ -329,16 +329,15 @@ def rate_interval(lo: int, hi: int) -> frozenset:
 def periodicity_bound(seq: SequenceSpec, eta: Sampling) -> int:
     """Index horizon past which i -> osc over eta_i repeats.
 
-    Requires eta's affine tail; the map is eventually periodic with the
+    Requires eta = n+c; the map is then eventually periodic with the
     sequence's period once windows sit inside the periodic region.
     """
-    if not (eta.is_from_function and eta.affine is not None):
+    if eta.k != 1:
         raise UnsupportedSampling(
-            "exact eta-oscillation needs an affine-tail sampling; "
-            "use osc_eta_upper for general samplings"
+            "exact eta-oscillation needs a sampling n+c; "
+            "use osc_eta_upper for other samplings"
         )
-    T = max(seq.tail_start, eta.affine.start)
-    return T + seq.period * (eta.affine.w + 1)
+    return seq.tail_start + seq.period * (eta.c + 1)
 
 
 def osc_eta_exact(seq: SequenceSpec, eta: Sampling) -> Fraction:

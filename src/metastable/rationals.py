@@ -5,7 +5,15 @@ allowed, read exactly).  Python floats are rejected everywhere: a float has
 already lost the value its text denoted.
 """
 
+import re
 from fractions import Fraction
+
+# Largest decimal exponent read, the size of CPython's default int/str digit
+# limit: Fraction builds 10**exponent in full, so "1e9999999" would take
+# seconds and a larger exponent all time and memory.
+MAX_DECIMAL_EXPONENT = 4300
+
+_EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)\s*\Z")
 
 
 def parse_rational(value) -> Fraction:
@@ -21,6 +29,14 @@ def parse_rational(value) -> Fraction:
             f"float {value!r} rejected; use a p/q or decimal string"
         )
     if isinstance(value, str):
+        exponent = ("e" in value or "E" in value) and _EXPONENT.search(value)
+        if exponent:
+            digits = exponent.group(1).replace("_", "").lstrip("0")
+            if (len(digits) > len(str(MAX_DECIMAL_EXPONENT))
+                    or int(digits or 0) > MAX_DECIMAL_EXPONENT):
+                raise ValueError(
+                    f"decimal exponent in {value[:40]!r} exceeds "
+                    f"MAX_DECIMAL_EXPONENT = {MAX_DECIMAL_EXPONENT}")
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:

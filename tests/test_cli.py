@@ -2,6 +2,7 @@ import io
 import json
 import os
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 
@@ -284,6 +285,38 @@ class TestMalformedInput:
     def test_malformed_sampling(self, workdir, capsys, F, field):
         assert field in self.analyze(workdir / "s.json", capsys, F=F)
 
+    @pytest.mark.parametrize("F", ["n", "2n", "0n+1", '{"F": "2n"}',
+                                   '{"F": {"affine": {"w": 0}}}'])
+    def test_non_increasing_sampling(self, workdir, capsys, F):
+        self.analyze(workdir / "s.json", capsys, F=F)
+
+    @pytest.mark.parametrize("doc, field", [
+        ('{"omega": 5, "weights": {}}', '"omega"'),
+        ('{"weights": {}}', '"omega"'),
+        ('{"omega": ["a"], "weights": [1]}', '"weights"'),
+        ('{"omega": ["a"], "weights": {"a": 1}, "algebra": [[["a"]]]}',
+         '"algebra"'),
+        ("[1]", "JSON object"),
+    ])
+    def test_malformed_measure(self, tmp_path, capsys, doc, field):
+        (tmp_path / "mu.json").write_text(doc)
+        err = usage_error(["measure", "audit", "--file",
+                           str(tmp_path / "mu.json")], capsys)
+        assert field in err
+
+    @pytest.mark.parametrize("doc, field", [
+        ("[1]", "JSON object"),
+        ('{"measure": 5, "slices": {}}', '"measure"'),
+        ('{"measure": {"omega": ["a"], "weights": {"a": 1}}, "slices": [1]}',
+         '"slices"'),
+        ('{"measure": {"omega": 5}, "slices": {}}', '"omega"'),
+    ])
+    def test_malformed_family(self, tmp_path, capsys, doc, field):
+        (tmp_path / "fam.json").write_text(doc)
+        err = usage_error(["dct", "check", "--family",
+                           str(tmp_path / "fam.json")], capsys)
+        assert field in err
+
     def test_negative_rate_index(self, workdir, capsys):
         err = usage_error(["analyze", "--seq", str(workdir / "s.json"),
                            "--eps", "1/2", "--F", "n+1", "--E=-3,1"], capsys)
@@ -338,9 +371,47 @@ JSON_DOCS = st.recursive(
 ).map(json.dumps)
 
 
+VALID_MEASURES = [
+    '{"omega": ["w1", "w2"], "weights": {"w1": 0.5, "w2": "1/2"}, '
+    '"kind": "probability"}',
+    '{"omega": ["w1", "w2"], "weights": {"w1": -1, "w2": 2}, '
+    '"algebra": [[], ["w1", "w2"]], "kind": "signed"}',
+]
+VALID_FAMILIES = [
+    '{"measure": {"omega": ["w1"], "weights": {"w1": 1}}, '
+    '"slices": {"w1": {"prefix": [0.3, 0.1], "tail": {"period": 2}}}}',
+]
+MEASURE_SCALARS = JSON_SCALARS | st.sampled_from(
+    ["w1", "w2", "powerset", "probability", "finite", "signed"])
+MEASURE_KEYS = ["omega", "weights", "algebra", "kind", "anchor", "bound",
+                "w1", "w2", "measure", "slices", "norm_phi", "prefix", "tail"]
+MEASURE_DOCS = st.recursive(
+    MEASURE_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(MEASURE_KEYS), inner, max_size=4),
+    max_leaves=12,
+).map(json.dumps)
+
+
 def near(valid, max_size):
     """Either a well-formed argument or arbitrary short text."""
     return st.sampled_from(valid) | st.text(max_size=max_size)
+
+
+def exit_code(args, content, name):
+    """Exit code and stderr of the CLI on `args` plus a file holding
+    `content`, whose path is appended to the arguments."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, name)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(content)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(args + [path])
+            except SystemExit as exc:
+                code = exc.code
+    return code, err.getvalue()
 
 
 class TestFuzz:
@@ -357,19 +428,29 @@ class TestFuzz:
         eps=near(["1/2", "0", "1/3", "0.25"], 8),
     )
     def test_analyze_exits_0_1_or_2(self, content, csv, F, E, eps):
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "s.csv" if csv else "s.json")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(content)
-            out, err = io.StringIO(), io.StringIO()
-            with redirect_stdout(out), redirect_stderr(err):
-                try:
-                    code = main(["analyze", "--seq", path, f"--F={F}",
-                                 f"--E={E}", f"--eps={eps}"])
-                except SystemExit as exc:
-                    code = exc.code
+        code, err = exit_code(
+            ["analyze", f"--F={F}", f"--E={E}", f"--eps={eps}", "--seq"],
+            content, "s.csv" if csv else "s.json")
         assert code in (0, 1, 2)
-        assert "Traceback" not in err.getvalue()
+        assert "Traceback" not in err
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(content=st.sampled_from(VALID_MEASURES) | MEASURE_DOCS
+           | st.text(max_size=12))
+    def test_measure_audit_exits_0_1_or_2(self, content):
+        code, err = exit_code(["measure", "audit", "--file"], content,
+                              "mu.json")
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(content=st.sampled_from(VALID_FAMILIES) | MEASURE_DOCS
+           | st.text(max_size=12))
+    def test_dct_check_exits_0_1_or_2(self, content):
+        code, err = exit_code(["dct", "check", "--family"], content,
+                              "fam.json")
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
 
 
 class TestRateCeiling:
@@ -395,3 +476,32 @@ class TestRateCeiling:
         # eps = 1/16 under 2n+1 is the largest rate the benchmark asks for
         E = ms.monotone_uniform_rate(F(1, 16), ms.parse_f_expression("2n+1"))
         assert len(E) == 2 ** 16 < ms.netcore.MAX_RATE_SIZE
+
+
+class TestInputCaps:
+    def test_long_window_refused_fast(self, tmp_path, capsys):
+        (tmp_path / "s.csv").write_text("0\n1\n")
+        start = time.perf_counter()
+        err = usage_error(["analyze", "--seq", str(tmp_path / "s.csv"),
+                           "--eps", "1/2", "--F", "1000000n+1", "--E", "9"],
+                          capsys)
+        assert time.perf_counter() - start < 1
+        assert "window 9 " in err and str(ms.netcore.MAX_RATE_SIZE) in err
+
+    def test_huge_decimal_exponent_refused_fast(self):
+        for text in ("1e9999999", "1e-9999999", "1E" + "9" * 5000):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="MAX_DECIMAL_EXPONENT"):
+                ms.parse_rational(text)
+            assert time.perf_counter() - start < 0.1
+        assert ms.parse_rational("2.5e2") == 250
+        assert ms.parse_rational("1e-3") == F(1, 1000)
+        assert ms.parse_rational("1e4300") == 10 ** 4300
+
+    def test_huge_exponent_exits_2(self, workdir, tmp_path, capsys):
+        usage_error(["analyze", "--seq", str(workdir / "s.json"),
+                     "--eps", "1e9999999", "--F", "n+1", "--E", "0"], capsys)
+        (tmp_path / "s.json").write_text('{"prefix": [0, 1e9999999]}')
+        err = usage_error(["analyze", "--seq", str(tmp_path / "s.json"),
+                           "--eps", "1/2", "--F", "n+1", "--E", "0"], capsys)
+        assert "MAX_DECIMAL_EXPONENT" in err

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metastable import netcore
 from metastable import (
     Constant,
     EmptyRate,
@@ -13,21 +14,23 @@ from metastable import (
     NonpositiveEpsilon,
     Periodic,
     RateSpec,
+    RateTooLarge,
     SequenceSpec,
     UnsupportedSampling,
     affine_sampling,
     brute_min_uniform_rate,
     check_rate,
     eps_cauchy_exact,
+    explicit_sampling,
     metastable_witness,
     monotone_uniform_rate,
     osc_eta_exact,
     osc_eta_upper,
     osc_segment,
     osc_total_exact,
+    parse_f_expression,
     periodicity_bound,
     rate_witness,
-    sampling_from_function,
     sequence_from_csv,
     sequence_from_json,
     sequence_to_json,
@@ -153,7 +156,7 @@ class TestMonotoneUniformRate:
         assert monotone_uniform_rate(1, ETA1) == frozenset({0, 1})
 
     def test_doubling(self):
-        eta = sampling_from_function(lambda n: 2 * n + 1)
+        eta = parse_f_expression("2n+1")
         assert monotone_uniform_rate(F(2, 5), eta) == frozenset(range(8))
 
     def test_half(self):
@@ -187,7 +190,7 @@ class TestOscEta:
         assert osc_eta_exact(s, ETA1) == 1
 
     def test_requires_affine(self):
-        eta = sampling_from_function(lambda n: 2 * n + 1)
+        eta = parse_f_expression("2n+1")
         with pytest.raises(UnsupportedSampling):
             osc_eta_exact(alternating_sequence(), eta)
 
@@ -326,6 +329,46 @@ class TestFinitarity:
         E = {0, 2}
         check_rate(seq, 0, ETA1, E)
         assert max(calls) <= max(ETA1.max_index(i) for i in E)
+
+
+class TestWindowCap:
+    """One linear window longer than MAX_RATE_SIZE is refused unread."""
+
+    def test_long_window_refused_before_reading(self):
+        calls = []
+
+        class Spy(SequenceSpec):
+            def value(self, n):
+                calls.append(n)
+                return super().value(n)
+
+        seq = Spy(prefix=(0, 1, 0), tail=Periodic(2))
+        eta = parse_f_expression("1000000n+1")
+        with pytest.raises(RateTooLarge, match="window 9 "):
+            rate_witness(seq, F(1, 2), eta, {0, 9})
+        assert max(calls) <= eta.f(0)
+
+    def test_witness_before_long_window_answers(self):
+        seq = SequenceSpec(prefix=(0,), tail=Constant())
+        eta = parse_f_expression("1000000n+1")
+        assert rate_witness(seq, 0, eta, {0, 9}) == 0
+
+    def test_longest_allowed_window_is_read(self, monkeypatch):
+        monkeypatch.setattr(netcore, "MAX_RATE_SIZE", 8)
+        seq = SequenceSpec(prefix=(0,), tail=Constant())
+        assert rate_witness(seq, 0, affine_sampling(7), {0}) == 0
+        assert rate_witness(seq, 0, parse_f_expression("2n+1"), {6}) == 6
+        with pytest.raises(RateTooLarge):
+            rate_witness(seq, 0, affine_sampling(8), {0})
+        with pytest.raises(RateTooLarge):
+            rate_witness(seq, 0, parse_f_expression("2n+1"), {7})
+
+    def test_explicit_sampling_has_no_f(self):
+        eta = explicit_sampling({0: (0, 1)})
+        with pytest.raises(UnsupportedSampling):
+            monotone_uniform_rate(F(1, 2), eta)
+        with pytest.raises(UnsupportedSampling):
+            osc_eta_exact(SequenceSpec(prefix=(0,)), eta)
 
 
 class TestRateSpec:
