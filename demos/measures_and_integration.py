@@ -17,8 +17,9 @@ from metastable import (
 
 # ---------------------------------------------------------------------------
 # A measure structure is a finite sample space with atom weights; the set
-# function it induces is finitely additive by construction, and the audit
-# re-verifies the axioms as stated instead of trusting the construction.
+# function it induces is finitely additive by construction, so the audit
+# checks only the clauses that can fail.  On a powerset those reduce to the
+# atom weights: mu(A) >= 0 for every A exactly when every weight is.
 
 M = MeasureStructure(
     omega=("w1", "w2", "w3"),
@@ -31,8 +32,9 @@ for entry in report.entries:
     print(f"  {mark} {entry.clause}")
 print("all clauses hold:", report.ok)
 
-# Total variation: the fast mode sums |weights|; the audit mode evaluates
-# the literal sup over algebra pairs.  They agree on powerset algebras.
+# Total variation: the sup over pairs of sets of |mu(A)| + |mu(B)| - |mu(A & B)|
+# is the sum of |mu(atom)| on any algebra, so both modes sum |weights| on a
+# powerset; on an explicit algebra the audit mode sums over its atoms.
 signed = MeasureStructure(("w1", "w2"), {"w1": 1, "w2": -1}, "signed")
 print("signed measure: fast TV =", total_variation(signed),
       " audited TV =", total_variation(signed, audit=True))
@@ -49,7 +51,9 @@ for entry in audit_preloeb(no_complement).failures():
 
 # ---------------------------------------------------------------------------
 # Integration is the exact weighted sum; on a finite space that IS the
-# representation of the functional by the measure, and I(chi_A) = mu(A).
+# representation of the functional by the measure, and I(chi_A) = mu(A)
+# holds by construction, so the integration audit checks only the bounds
+# and the Lipschitz estimate.
 
 f = LInfFunction({"w1": 3, "w2": 0, "w3": -1})
 print("If =", integrate(M, f))

@@ -7,7 +7,8 @@ convergence inequality (and its metastable rate form) on finite measure
 structures.
 """
 
-from . import henson
+import importlib
+
 from .dct import (
     DctCheck,
     DctSearchResult,
@@ -96,3 +97,12 @@ from .netcore import (
 from .rationals import format_rational, parse_rational
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    """`metastable.henson`, imported on first use (PEP 562): the formula
+    engine costs more to import than the rest of the package, and only the
+    logic commands need it."""
+    if name == "henson":
+        return importlib.import_module(".henson", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

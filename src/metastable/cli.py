@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import json
 import os
 import sys
@@ -24,13 +25,6 @@ from . import measure as measure_mod
 from .directed import Sampling, parse_f_expression, sampling_from_json
 from .errors import MalformedInput, MetastableError
 from .generators import monotone_slice_class
-from .henson import (
-    approx_satisfies,
-    format_formula,
-    parse_formula,
-    satisfies,
-    structure_from_json,
-)
 from .netcore import (
     RateSpec,
     SequenceSpec,
@@ -47,6 +41,22 @@ from .rationals import format_rational, parse_rational
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+
+_HENSON_NAMES = ("approx_satisfies", "format_formula", "parse_formula",
+                 "satisfies", "structure_from_json")
+_cli = sys.modules[__name__]
+
+
+def __getattr__(name):
+    """The henson names, imported on first use (PEP 562) and then kept as
+    module globals: only the logic commands need the formula engine.  The
+    logic handlers call them as attributes of this module, so a caller may
+    replace them there."""
+    if name not in _HENSON_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    henson = importlib.import_module(".henson", __package__)
+    value = globals()[name] = getattr(henson, name)
+    return value
 
 
 def _load_json(path: str) -> dict:
@@ -140,25 +150,27 @@ def cmd_rate_monotone(args) -> int:
 
 
 def cmd_logic_check(args) -> int:
-    structure = structure_from_json(_load_json(args.structure))
-    phi = parse_formula(args.formula, structure.signature)
+    structure = _cli.structure_from_json(_load_json(args.structure))
+    phi = _cli.parse_formula(args.formula, structure.signature)
     assignment = {}
     if args.assign:
         for part in args.assign.split(","):
             name, _, value = part.partition("=")
             assignment[name.strip()] = value.strip()
-    holds = (approx_satisfies(structure, phi, assignment)
-             if args.mode == "approx" else satisfies(structure, phi, assignment))
-    report = {"formula": format_formula(phi), "mode": args.mode, "holds": holds}
+    holds = (_cli.approx_satisfies(structure, phi, assignment)
+             if args.mode == "approx"
+             else _cli.satisfies(structure, phi, assignment))
+    report = {"formula": _cli.format_formula(phi), "mode": args.mode,
+              "holds": holds}
     _emit(report, args.json,
           [f"{args.mode} satisfaction: {'holds' if holds else 'fails'}"])
     return EXIT_OK if holds else EXIT_FAIL
 
 
 def cmd_logic_parse(args) -> int:
-    structure = structure_from_json(_load_json(args.structure))
-    phi = parse_formula(args.formula, structure.signature)
-    print(format_formula(phi))
+    structure = _cli.structure_from_json(_load_json(args.structure))
+    phi = _cli.parse_formula(args.formula, structure.signature)
+    print(_cli.format_formula(phi))
     return EXIT_OK
 
 

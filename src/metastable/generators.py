@@ -17,30 +17,16 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence
 
 from .dct import DirectedFamily
 from .directed import Sampling
-from .henson.structure import FiniteStructure, discrete_sort, line_sort
-from .henson.syntax import (
-    REAL,
-    METRIC,
-    And,
-    AtomGe,
-    AtomLe,
-    Const,
-    Exists,
-    Forall,
-    Formula,
-    Lit,
-    Or,
-    Signature,
-    Var,
-    apply,
-)
 from .measure import LInfFunction, MeasureStructure
 from .netcore import Constant, Periodic, SequenceSpec
 from .rationals import parse_rational
+
+if TYPE_CHECKING:
+    from .henson.syntax import Formula, Signature
 
 
 def random_rational(rng: random.Random, lo=0, hi=1, max_den: int = 32) -> Fraction:
@@ -198,6 +184,8 @@ def monotone_slice_class(eta: Sampling, eps_grid: Iterable, n_random: int,
 
 
 # -- structures and formulas ------------------------------------------------------
+# henson is imported inside these generators, on first use, so that importing
+# this module (and the CLI, which uses the sequence generators) leaves it out
 
 
 _RADII = (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2))
@@ -206,6 +194,9 @@ _RADII = (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2))
 def random_finite_structure(rng: random.Random, max_points: int = 4):
     """A one-sort structure with a line or discrete metric, an anchor
     constant, one named point, and a random unary real-valued function."""
+    from .henson.structure import FiniteStructure, discrete_sort, line_sort
+    from .henson.syntax import REAL, Signature
+
     n = rng.randint(2, max_points)
     labels = [f"p{i}" for i in range(n)]
     if rng.random() < 0.5:
@@ -234,12 +225,16 @@ def random_finite_structure(rng: random.Random, max_points: int = 4):
 
 
 def _random_point_term(rng: random.Random, env: dict):
+    from .henson.syntax import Const, Var
+
     pool = [Var(name, sort) for name, sort in env.items() if sort == "X"]
     pool += [Const("a", "X"), Const("b", "X")]
     return rng.choice(pool)
 
 
 def _random_real_term(rng: random.Random, sig: Signature, env: dict, depth: int):
+    from .henson.syntax import METRIC, Lit, apply
+
     choice = rng.random()
     if depth <= 0 or choice < 0.35:
         if rng.random() < 0.5:
@@ -257,6 +252,8 @@ def _random_real_term(rng: random.Random, sig: Signature, env: dict, depth: int)
 def random_formula(rng: random.Random, sig: Signature, depth: int = 2,
                    env: Optional[dict] = None, _next_var: int = 0) -> Formula:
     """A random positive bounded formula over the one-sort test signature."""
+    from .henson.syntax import And, AtomGe, AtomLe, Exists, Forall, Or, Var
+
     env = dict(env or {})
     roll = rng.random()
     if depth > 0 and roll < 0.3:

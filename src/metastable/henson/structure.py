@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Tuple
 
-from ..errors import SortMismatch
+from ..errors import MalformedInput, SortMismatch
 from ..rationals import format_rational, parse_rational
 from .syntax import REAL, Signature
 
@@ -204,29 +204,68 @@ def structure_to_json(M: FiniteStructure) -> dict:
     return data
 
 
+def _expect(value, types, field: str, what: str):
+    """value if it is an instance of types (a bool is no number or label);
+    MalformedInput naming the field if not."""
+    if isinstance(value, types) and not isinstance(value, bool):
+        return value
+    raise MalformedInput(f'"{field}" must be {what}, got {value!r}')
+
+
+def _labels(value, field: str) -> list:
+    for label in _expect(value, list, field, "a list of labels"):
+        _expect(label, (str, int), field, "a list of labels")
+    return [str(label) for label in value]
+
+
 def structure_from_json(data: dict) -> FiniteStructure:
+    """The inverse of structure_to_json; MalformedInput, naming the field,
+    on any other shape.  Each field's shape is checked where it is read."""
+    if not isinstance(data, dict):
+        raise MalformedInput(
+            f"a structure is a JSON object, not a {type(data).__name__}")
     sorts = {}
-    for name, spec in data.get("sorts", {}).items():
-        points = [str(p) for p in spec["points"]]
-        matrix = spec["metric"]
+    for name, spec in _expect(data.get("sorts", {}), dict, "sorts",
+                              "an object of sorts").items():
+        field = f"sorts.{name}"
+        _expect(spec, dict, field, "an object")
+        points = _labels(spec.get("points"), f"{field}.points")
+        matrix = spec.get("metric")
+        if not (isinstance(matrix, list) and len(matrix) == len(points)
+                and all(isinstance(row, list) and len(row) == len(points)
+                        for row in matrix)):
+            raise MalformedInput(f'"{field}.metric" must be a {len(points)} '
+                                 f"by {len(points)} matrix, got {matrix!r}")
         metric = {
             (points[i], points[j]): parse_rational(matrix[i][j])
             for i in range(len(points)) for j in range(len(points))
         }
-        sorts[name] = SortData(tuple(points), metric, str(spec["anchor"]))
+        anchor = _expect(spec.get("anchor"), (str, int), f"{field}.anchor",
+                         "a label")
+        sorts[name] = SortData(tuple(points), metric, str(anchor))
     fun_decls = {}
     interps = {}
-    for name, spec in data.get("functions", {}).items():
-        domain = tuple(spec["domain"])
-        rng = spec["range"]
+    for name, spec in _expect(data.get("functions", {}), dict, "functions",
+                              "an object of symbols").items():
+        field = f"functions.{name}"
+        _expect(spec, dict, field, "an object")
+        domain = tuple(_labels(spec.get("domain"), f"{field}.domain"))
+        rng = _expect(spec.get("range"), str, f"{field}.range", "a sort")
         fun_decls[name] = (domain, rng)
         if not domain:
             interps[name] = spec["value"]
         else:
             interps[name] = {
                 tuple(key.split("|")): value
-                for key, value in spec["table"].items()
+                for key, value in _expect(spec.get("table"), dict,
+                                          f"{field}.table",
+                                          "an object").items()
             }
+    anchors = data.get("anchor_constants")
+    if anchors is not None:
+        for sort, name in _expect(anchors, dict, "anchor_constants",
+                                  "an object").items():
+            _expect(name, str, f"anchor_constants.{sort}", "a symbol")
     signature = Signature(sorts=tuple(sorts), functions=fun_decls,
-                          anchors=data.get("anchor_constants"))
+                          anchors=anchors)
     return FiniteStructure(signature, sorts, interps)

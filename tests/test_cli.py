@@ -1,8 +1,11 @@
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import time
+from pathlib import Path
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 
@@ -12,6 +15,7 @@ from hypothesis import strategies as st
 
 import metastable as ms
 import metastable.henson as h
+import metastable.cli as cli
 from metastable.cli import build_parser, main
 
 
@@ -149,7 +153,23 @@ class TestMeasure:
         code, out = run(["measure", "audit", "--file", str(workdir / "mu.json")],
                         capsys)
         assert code == 0
-        assert "PASS modularity" in out
+        assert "PASS probability: total variation 1" in out
+
+    def test_audit_of_family_not_closed_under_intersection(self, tmp_path,
+                                                           capsys):
+        # {a, b} & {b, c} = {b} is missing: the audit reports it and exits 1
+        (tmp_path / "mu.json").write_text(json.dumps({
+            "omega": ["a", "b", "c"], "weights": {"a": 1, "b": 1, "c": 1},
+            "algebra": [[], ["a", "b"], ["b", "c"], ["a", "b", "c"]]}))
+        code, out = run(["measure", "audit", "--file",
+                         str(tmp_path / "mu.json"), "--json"], capsys)
+        assert code == 1
+        report = json.loads(out)
+        failed = {c["clause"]: c["witness"] for c in report["clauses"]
+                  if not c["ok"]}
+        assert failed["closed under intersection"] == "{a, b} ∩ {b, c}"
+        assert report["total_variation_audit"] == "3"
+        assert report["total_variation_fast"] == "3"
 
     def test_integrate(self, workdir, capsys):
         code, out = run(["measure", "integrate", "--file",
@@ -202,6 +222,36 @@ class TestDct:
                                "--seed", "4", "--json"], capsys)
         assert code == 0
         assert json.loads(from_env) == json.loads(from_flag)
+
+
+class TestLazyHenson:
+    def test_cli_import_leaves_henson_out(self):
+        src = str(Path(ms.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        script = ("import sys, metastable.cli\n"
+                  "assert 'metastable.henson' not in sys.modules\n"
+                  "from metastable import henson\n"
+                  "assert henson.parse_formula\n"
+                  "assert metastable.cli.satisfies is henson.satisfies\n")
+        subprocess.run([sys.executable, "-c", script], env=env, check=True)
+
+    def test_logic_handlers_call_replaced_names(self, workdir, capsys):
+        calls = []
+        original = cli.satisfies
+
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
+
+        cli.satisfies = spy
+        try:
+            code, _ = run(["logic", "check", "--structure",
+                           str(workdir / "m.json"), "--formula", "d(b,a) <= 1",
+                           "--mode", "discrete"], capsys)
+        finally:
+            cli.satisfies = original
+        assert code == 0 and len(calls) == 1
 
 
 class TestParserReuse:
@@ -317,6 +367,37 @@ class TestMalformedInput:
                            str(tmp_path / "fam.json")], capsys)
         assert field in err
 
+    @pytest.mark.parametrize("doc, field", [
+        ("[1]", "JSON object"),
+        ('{"sorts": {"X": {"points": 3}}}', '"sorts.X.points"'),
+        ('{"sorts": {"X": {"points": ["p"], "metric": [[0, 1]], '
+         '"anchor": "p"}}}', '"sorts.X.metric"'),
+        ('{"sorts": {"X": {"points": ["p"], "metric": [[0]]}}}',
+         '"sorts.X.anchor"'),
+        ('{"sorts": {}, "functions": {"h": {"domain": "X"}}}',
+         '"functions.h.domain"'),
+        ('{"sorts": {}, "anchor_constants": {"X": ["a"]}}',
+         '"anchor_constants.X"'),
+    ])
+    def test_malformed_structure(self, tmp_path, capsys, doc, field):
+        (tmp_path / "m.json").write_text(doc)
+        err = usage_error(["logic", "check", "--structure",
+                           str(tmp_path / "m.json"), "--formula", "1 <= 1"],
+                          capsys)
+        assert field in err
+
+    @pytest.mark.parametrize("doc, field", [
+        ("[1]", '"values"'),
+        ("5", '"values"'),
+        ('{"values": 5}', '"values"'),
+    ])
+    def test_malformed_function(self, workdir, tmp_path, capsys, doc, field):
+        (tmp_path / "f.json").write_text(doc)
+        err = usage_error(["measure", "integrate", "--file",
+                           str(workdir / "mu.json"), "--function",
+                           str(tmp_path / "f.json")], capsys)
+        assert field in err
+
     def test_negative_rate_index(self, workdir, capsys):
         err = usage_error(["analyze", "--seq", str(workdir / "s.json"),
                            "--eps", "1/2", "--F", "n+1", "--E=-3,1"], capsys)
@@ -393,6 +474,22 @@ MEASURE_DOCS = st.recursive(
 ).map(json.dumps)
 
 
+VALID_STRUCTURES = [json.dumps(h.structure_to_json(h.FiniteStructure(
+    h.Signature(sorts=("X",), constants={"b": "X"}, anchors={"X": "a"}),
+    {"X": h.line_sort({"pa": 0, "pb": 1}, anchor="pa")},
+    {"a": "pa", "b": "pb"})))]
+STRUCTURE_KEYS = ["sorts", "functions", "anchor_constants", "X", "points",
+                  "metric", "anchor", "domain", "range", "value", "table",
+                  "a", "b"]
+STRUCTURE_DOCS = st.recursive(
+    JSON_SCALARS | st.sampled_from(["X", "pa", "pb", "a", "b", "real"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(STRUCTURE_KEYS), inner, max_size=4),
+    max_leaves=12,
+).map(json.dumps)
+VALID_FUNCTIONS = ['{"values": {"w1": 3, "w2": 0}}', '{"w1": 0.5, "w2": "1/2"}']
+
+
 def near(valid, max_size):
     """Either a well-formed argument or arbitrary short text."""
     return st.sampled_from(valid) | st.text(max_size=max_size)
@@ -449,6 +546,30 @@ class TestFuzz:
     def test_dct_check_exits_0_1_or_2(self, content):
         code, err = exit_code(["dct", "check", "--family"], content,
                               "fam.json")
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(content=st.sampled_from(VALID_STRUCTURES) | STRUCTURE_DOCS
+           | st.text(max_size=12),
+           formula=near(["d(b,a) <= 1", "1 <= 1"], 8))
+    def test_logic_check_exits_0_1_or_2(self, content, formula):
+        code, err = exit_code(["logic", "check", f"--formula={formula}",
+                               "--structure"], content, "m.json")
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(content=st.sampled_from(VALID_FUNCTIONS) | MEASURE_DOCS
+           | st.text(max_size=12))
+    def test_measure_integrate_exits_0_1_or_2(self, content):
+        with tempfile.TemporaryDirectory() as tmp:
+            mu = os.path.join(tmp, "mu.json")
+            with open(mu, "w", encoding="utf-8") as fh:
+                fh.write(VALID_MEASURES[0])
+            code, err = exit_code(["measure", "integrate", "--file", mu,
+                                   "--function"], content, "f.json")
         assert code in (0, 1, 2)
         assert "Traceback" not in err
 
