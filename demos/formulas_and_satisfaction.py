@@ -29,9 +29,9 @@ print(h.format_formula(psi), "->", h.satisfies(M, psi))   # B(1) = {pa} only
 
 # ---------------------------------------------------------------------------
 # Approximations relax every estimate strictly; approximate satisfaction
-# asks for truth of all of them.  On finite structures it is decided
-# exactly: only finitely many rationals are ever compared, so satisfaction
-# is stable below the minimal gap between them.
+# asks for truth of all of them.  On finite structures it is discrete
+# satisfaction: only finitely many rationals are ever compared, so below the
+# minimal gap between them every relaxation decides as the formula does.
 
 tight = h.parse_formula("d(b, a) <= 1", sig)
 print("discrete:", h.satisfies(M, tight),
@@ -41,8 +41,9 @@ relaxed = h.relax(tight, F(1, 4))
 print("a relaxation:", h.format_formula(relaxed),
       "| is an approximation:", h.is_approximation(tight, relaxed))
 
-# Push b just past distance 1 and both relations flip together, because the
-# gap analysis sees the 1/1000 difference exactly.
+# Push b just past distance 1 and both relations flip together: the gap
+# between the critical values 1 and 1001/1000 is 1/1000, and no relaxation
+# below it reaches b.
 space2 = h.line_sort({"pa": 0, "pb": F(1001, 1000)}, anchor="pa")
 M2 = h.FiniteStructure(sig, {"X": space2}, {"a": "pa", "b": "pb"})
 print("just past 1 -> discrete:", h.satisfies(M2, tight),

@@ -2,11 +2,10 @@
 
 Discrete satisfaction follows the six inductive clauses; existential
 quantifiers range over closed balls around the sort anchor and universal
-quantifiers over open balls.  Approximate satisfaction (truth of every
-approximation) is decided exactly by gap analysis: on a finite structure
-only finitely many rationals can ever be compared against a bound, so
-satisfaction of the delta-relaxation is constant for delta below the
-minimal positive gap between those critical values.
+quantifiers over open balls.  On a finite structure approximate
+satisfaction (truth of every approximation) is discrete satisfaction: the
+critical values, the finitely many rationals ever compared against a bound,
+and the minimal positive gap between them are its certificate.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from ..errors import RealQuantifier, SortMismatch, UnassignedVariable
-from .approx import relax
+from ..rationals import parse_rational
 from .structure import FiniteStructure
 from .syntax import (
     REAL,
@@ -32,6 +31,7 @@ from .syntax import (
     Or,
     Term,
     Var,
+    free_vars,
 )
 
 Assignment = Mapping[str, object]
@@ -70,8 +70,16 @@ def eval_term(M: FiniteStructure, t: Term, assignment: Assignment):
 
 
 def satisfies(M: FiniteStructure, phi: Formula, assignment: Assignment = None) -> bool:
-    """Discrete satisfaction."""
+    """Discrete satisfaction; free variables need values of their sorts."""
     assignment = dict(assignment or {})
+    for name, sort in free_vars(phi):
+        if name not in assignment:
+            raise UnassignedVariable(f"variable {name!r} has no value")
+        if sort == REAL:
+            assignment[name] = parse_rational(assignment[name])
+        elif assignment[name] not in M.sorts.get(sort, ()):
+            raise SortMismatch(f"variable {name!r} = {assignment[name]!r} "
+                               f"is not a point of sort {sort!r}")
     return _sat(M, phi, assignment)
 
 
@@ -140,7 +148,7 @@ def critical_values(M: FiniteStructure, phi: Formula,
     """
     values = set()
     for data in M.sorts.values():
-        values.update(data.metric.values())
+        values.update(data.d(a, b) for a in data.points for b in data.points)
     env = dict(assignment or {})
     _collect(M, phi, env, values)
     return frozenset(values)
@@ -199,12 +207,14 @@ def satisfaction_gap(M: FiniteStructure, phi: Formula,
 
 def approx_satisfies(M: FiniteStructure, phi: Formula,
                      assignment: Assignment = None) -> bool:
-    """Approximate satisfaction, decided exactly.
+    """Approximate satisfaction, which on a finite structure is satisfies.
 
-    Equivalent to discrete satisfaction of the canonical relaxation at half
-    the critical gap: every comparison in any smaller relaxation resolves
-    identically, and every approximation of phi is implied by some such
-    relaxation.
+    It is truth of relax(phi, g/2), g = satisfaction_gap(M, phi).  Every
+    value relax(phi, delta) compares is critical: bounds, radii, term values
+    and the metric values behind ball membership.  0 is critical, so g <= r
+    for each radius r and the clamp r/2 never applies; for 0 < delta < g
+    every atom, closed ball and open ball decides as in phi.  This is the
+    finite case of Henson-Iovino, "Ultraproducts in analysis" (2002): a
+    finite structure is its own nonstandard hull.
     """
-    g = satisfaction_gap(M, phi, assignment)
-    return satisfies(M, relax(phi, g / 2), assignment)
+    return satisfies(M, phi, assignment)

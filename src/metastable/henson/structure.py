@@ -1,16 +1,19 @@
 """Finite metric structures with exact rational metrics and function tables.
 
-Each non-real sort is a finite pointed metric space; the real sort is the
-rationals and is never enumerated.  Interpreted function symbols are total
-tables over tuples of points; their outputs are points or exact rationals.
-Function domains must avoid the real sort (a table over the reals cannot be
-total); the built-ins add/sub/mul/abs/min/max/d are computed instead.
+Each non-real sort is a finite pointed metric space: discrete, on the
+rational line, or a checked metric table; the real sort is the rationals and
+is never enumerated.  Interpreted function symbols are total tables over
+tuples of points; their outputs are points or exact rationals.  Function
+domains must avoid the real sort (a table over the reals cannot be total);
+the built-ins add/sub/mul/abs/min/max/d are computed instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import sub
 from typing import Mapping, Optional, Tuple
 
 from ..errors import MalformedInput, SortMismatch
@@ -20,65 +23,81 @@ from .syntax import REAL, Signature
 
 @dataclass(frozen=True)
 class SortData:
-    """A finite pointed metric space: points, metric table, anchor."""
+    """A finite pointed metric space: points, a metric table checked on
+    integers (else |x - y| on distinct `coords`, else 0/1), anchor."""
 
     points: Tuple[str, ...]
-    metric: Mapping[Tuple[str, str], Fraction]
+    metric: Optional[Mapping[Tuple[str, str], Fraction]]
     anchor: str
+    coords: Optional[Mapping[str, Fraction]] = None
 
     def __post_init__(self):
         pts = tuple(self.points)
         object.__setattr__(self, "points", pts)
-        if len(set(pts)) != len(pts) or not pts:
+        object.__setattr__(self, "_members", frozenset(pts))
+        if len(self._members) != len(pts) or not pts:
             raise ValueError("points must be a nonempty list of distinct labels")
+        if self.anchor not in self._members:
+            raise ValueError(f"anchor {self.anchor!r} is not a point")
+        if self.metric is None:
+            if self.coords is not None and (
+                    self.coords.keys() != self._members
+                    or len(set(self.coords.values())) != len(pts)):
+                raise ValueError("line coordinates must be distinct, one per point")
+            return
         table = {
             (str(a), str(b)): parse_rational(v)
             for (a, b), v in dict(self.metric).items()
         }
         object.__setattr__(self, "metric", table)
-        if self.anchor not in pts:
-            raise ValueError(f"anchor {self.anchor!r} is not a point")
+        scale = lcm(*(v.denominator for v in table.values()))
+        ints = {k: v.numerator * (scale // v.denominator)
+                for k, v in table.items()}
         for a in pts:
             for b in pts:
-                if (a, b) not in table:
+                if (a, b) not in ints:
                     raise ValueError(f"metric table missing ({a!r}, {b!r})")
-                v = table[(a, b)]
+                v = ints[(a, b)]
                 if (v == 0) != (a == b):
                     raise ValueError(
-                        f"metric must vanish exactly on the diagonal: d({a!r},{b!r})={v}"
+                        f"metric must vanish exactly on the diagonal: d({a!r},{b!r})={table[(a, b)]}"
                     )
                 if v < 0:
                     raise ValueError("negative metric value")
-                if table[(b, a)] != v:
+                if ints.get((b, a)) != v:
                     raise ValueError(f"metric not symmetric at ({a!r},{b!r})")
-        for a in pts:
-            for b in pts:
-                for c in pts:
-                    if table[(a, c)] > table[(a, b)] + table[(b, c)]:
-                        raise ValueError(
-                            f"triangle inequality fails at ({a!r},{b!r},{c!r})"
-                        )
+        rows = [[ints[(a, b)] for b in pts] for a in pts]
+        for a, row_a in zip(pts, rows):
+            # d(a, c) <= d(a, b) + d(b, c) for all c: max_c of the difference
+            for b, ab, row_b in zip(pts, row_a, rows):
+                if max(map(sub, row_a, row_b)) > ab:
+                    c = next(c for c, ac, bc in zip(pts, row_a, row_b)
+                             if ac - bc > ab)
+                    raise ValueError(f"triangle inequality fails at "
+                                     f"({a!r},{b!r},{c!r})")
+
+    def __contains__(self, point) -> bool:
+        return point in self._members
 
     def d(self, a: str, b: str) -> Fraction:
-        return self.metric[(a, b)]
+        if self.metric is not None:
+            return self.metric[(a, b)]
+        if self.coords is not None:
+            return abs(self.coords[a] - self.coords[b])
+        return Fraction(int(a != b))
 
 
 def discrete_sort(points, anchor: Optional[str] = None) -> SortData:
     """The 0/1 metric on a finite label set."""
     pts = tuple(str(p) for p in points)
-    metric = {
-        (a, b): Fraction(0) if a == b else Fraction(1)
-        for a in pts for b in pts
-    }
-    return SortData(pts, metric, anchor if anchor is not None else pts[0])
+    return SortData(pts, None, anchor if anchor is not None else pts[0])
 
 
 def line_sort(coords: Mapping[str, Fraction], anchor: Optional[str] = None) -> SortData:
-    """Points embedded in the rational line; metric |x - y| (always a metric)."""
+    """Points at distinct places on the rational line; metric |x - y|."""
     items = {str(k): parse_rational(v) for k, v in coords.items()}
     pts = tuple(items)
-    metric = {(a, b): abs(items[a] - items[b]) for a in pts for b in pts}
-    return SortData(pts, metric, anchor if anchor is not None else pts[0])
+    return SortData(pts, None, anchor if anchor is not None else pts[0], items)
 
 
 class FiniteStructure:
@@ -116,7 +135,7 @@ class FiniteStructure:
         if decl.range == REAL:
             return parse_rational(value)
         value = str(value)
-        if value not in self.sorts[decl.range].points:
+        if value not in self.sorts[decl.range]:
             raise SortMismatch(
                 f"{decl.name!r} output {value!r} not a point of {decl.range!r}"
             )
@@ -236,10 +255,8 @@ def structure_from_json(data: dict) -> FiniteStructure:
                         for row in matrix)):
             raise MalformedInput(f'"{field}.metric" must be a {len(points)} '
                                  f"by {len(points)} matrix, got {matrix!r}")
-        metric = {
-            (points[i], points[j]): parse_rational(matrix[i][j])
-            for i in range(len(points)) for j in range(len(points))
-        }
+        metric = {(a, b): v for a, row in zip(points, matrix)
+                  for b, v in zip(points, row)}
         anchor = _expect(spec.get("anchor"), (str, int), f"{field}.anchor",
                          "a label")
         sorts[name] = SortData(tuple(points), metric, str(anchor))

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, combinations
+from math import lcm
 from typing import Iterable, Mapping, Optional, Tuple
 
 from .errors import MalformedInput, UVOrder
@@ -214,9 +215,11 @@ class _Family:
 
         if pair is None or pair[0] == _CLOSURE[1] and all(
                 a & b in index for a in masks for b in masks):
-            size = {a: abs(v) for a, v in zip(masks, self.mus)}
-            self.tv = max((size[a] + size[b] - size[a & b]
-                           for a in masks for b in masks), default=Fraction(0))
+            scale = lcm(*(v.denominator for v in self.mus))
+            size = {a: abs(v.numerator) * scale // v.denominator
+                    for a, v in zip(masks, self.mus)}
+            self.tv = Fraction(max((size[a] + size[b] - size[a & b] for a in
+                                    masks for b in masks), default=0), scale)
         else:
             self.tv = M.norm()
 

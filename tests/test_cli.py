@@ -135,6 +135,24 @@ class TestLogic:
                        "--formula", "d(x,a) >= 1", "--assign", "x=pb"], capsys)
         assert code == 0
 
+    @pytest.mark.parametrize("mode", ["approx", "discrete"])
+    def test_assignment_to_a_non_point(self, workdir, capsys, mode):
+        code = main(["logic", "check", "--structure", str(workdir / "m.json"),
+                     "--formula", "d(x, a) <= 1", "--assign", "x=zz",
+                     "--mode", mode])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == ("error: variable 'x' = 'zz' is not a point of "
+                       "sort 'X'\n")
+
+    def test_assignment_to_a_real_variable(self, workdir, capsys):
+        argv = ["logic", "check", "--structure", str(workdir / "m.json"),
+                "--formula", "add(x, 1) <= 2", "--assign"]
+        assert main(argv + ["x=1/2"]) == 0
+        assert main(argv + ["x=3/2"]) == 1
+        assert main(argv + ["x=zz"]) == 2
+        assert capsys.readouterr().err == "error: not a rational: 'zz'\n"
+
     def test_parse_roundtrip(self, workdir, capsys):
         code, out = run(["logic", "parse", "--structure",
                          str(workdir / "m.json"),

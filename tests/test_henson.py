@@ -1,4 +1,6 @@
+import json
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -457,3 +459,113 @@ class TestStructureValidation:
         phi2 = h.parse_formula(phi_text, again.signature)
         assert h.satisfies(M, phi) == h.satisfies(again, phi2)
         assert h.approx_satisfies(M, phi) == h.approx_satisfies(again, phi2)
+
+
+def with_free_variables(rng, M, count=2):
+    """A random formula over M with free variables x0.. and an assignment
+    of points to them."""
+    env = {f"x{k}": "X" for k in range(count)}
+    phi = random_formula(rng, M.signature, depth=3, env=env)
+    points = M.points("X")
+    return phi, {name: rng.choice(points) for name in env}
+
+
+def table_sort(data):
+    """The table-kind sort read back from structure_to_json's matrix."""
+    M = h.FiniteStructure(h.Signature(sorts=("X",)), {"X": data})
+    spec = h.structure_to_json(M)["sorts"]["X"]
+    pts = spec["points"]
+    return h.SortData(pts, {(a, b): spec["metric"][i][j]
+                            for i, a in enumerate(pts)
+                            for j, b in enumerate(pts)}, spec["anchor"])
+
+
+def three_kinds():
+    coords = {"p": 0, "q": F(1, 3), "r": 2}
+    return [h.discrete_sort(coords, anchor="p"),
+            h.line_sort(coords, anchor="p"),
+            table_sort(h.line_sort(coords, anchor="p"))]
+
+
+class TestSortKinds:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 10**6))
+    def test_approx_is_the_gap_decision(self, seed):
+        # the old decision: satisfaction of the relaxation at half the gap
+        rng = random.Random(seed)
+        M = random_finite_structure(rng)
+        phi, a = with_free_variables(rng, M)
+        g = h.satisfaction_gap(M, phi, a)
+        assert h.approx_satisfies(M, phi, a) == \
+            h.satisfies(M, h.relax(phi, g / 2), a)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 10**6))
+    def test_computed_metric_equals_its_table(self, seed):
+        # a line or a discrete sort, half the time each
+        data = random_finite_structure(random.Random(seed), 7).sorts["X"]
+        labels = data.points
+        table = table_sort(data)
+        assert table.metric is not None and data.metric is None
+        assert all(data.d(a, b) == table.d(a, b)
+                   for a in labels for b in labels)
+        sig = h.Signature(sorts=("X",))
+        phi = h.parse_formula("0 <= 0", sig)
+        assert h.critical_values(h.FiniteStructure(sig, {"X": data}), phi) \
+            == h.critical_values(h.FiniteStructure(sig, {"X": table}), phi)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 10**6))
+    def test_json_roundtrip_keeps_verdicts(self, seed):
+        rng = random.Random(seed)
+        M = random_finite_structure(rng)
+        again = h.structure_from_json(h.structure_to_json(M))
+        phi, a = with_free_variables(rng, M)
+        assert h.satisfies(M, phi, a) == h.satisfies(again, phi, a)
+
+    def test_first_triangle_witness(self):
+        # (p, q, s) and (p, r, s) both fail; p-q-s comes first in a-b-c order
+        pts = ("p", "q", "r", "s")
+        d = {("p", "q"): 1, ("p", "r"): F(1, 2), ("p", "s"): 3,
+             ("q", "r"): 1, ("q", "s"): F(3, 2), ("r", "s"): F(3, 2)}
+        table = {(a, a): 0 for a in pts}
+        for (a, b), v in d.items():
+            table[(a, b)] = table[(b, a)] = v
+        with pytest.raises(ValueError, match=r"fails at \('p','q','s'\)"):
+            h.SortData(pts, table, "p")
+        table[("p", "s")] = table[("s", "p")] = F(5, 2)
+        with pytest.raises(ValueError, match=r"fails at \('p','r','s'\)"):
+            h.SortData(pts, table, "p")
+
+    def test_line_coordinates_distinct(self):
+        with pytest.raises(ValueError):
+            h.line_sort({"p": 1, "q": F(2, 2)})
+
+    def test_encode_500_points(self):
+        seq = random_tail_sequence(random.Random(3), max_prefix=500)
+        start = time.perf_counter()
+        _, M = h.encode_sequence_window(seq, 499)
+        assert time.perf_counter() - start < 0.5
+        assert len(M.points("D")) == 500
+
+    def test_load_60_point_line_table(self):
+        data = h.line_sort({f"p{i}": F(i * i, 7) for i in range(60)})
+        doc = json.loads(json.dumps(h.structure_to_json(h.FiniteStructure(
+            h.Signature(sorts=("X",)), {"X": data}))))
+        start = time.perf_counter()
+        M = h.structure_from_json(doc)
+        assert time.perf_counter() - start < 0.5
+        assert M.metric("X", "p3", "p59") == F(59 * 59 - 9, 7)
+
+    @pytest.mark.parametrize("kind", range(3))
+    def test_assignment_to_a_non_point(self, kind):
+        sig = h.Signature(sorts=("X",), anchors={"X": "a"})
+        M = h.FiniteStructure(sig, {"X": three_kinds()[kind]}, {"a": "p"})
+        phi = h.parse_formula("d(x, a) <= 1", sig)
+        for decide in (h.satisfies, h.approx_satisfies):
+            with pytest.raises(SortMismatch,
+                               match="'x' = 'zz' is not a point of sort 'X'"):
+                decide(M, phi, {"x": "zz"})
+            with pytest.raises(UnassignedVariable):
+                decide(M, h.parse_formula("(0 <= 0 | d(x, a) <= 1)", sig))
+        assert h.satisfies(M, phi, {"x": "q"})

@@ -148,3 +148,18 @@ class TestAuditCost:
         assert audit_preloeb(M).ok
         assert total_variation(M, audit=True) == 1
         assert time.perf_counter() - start < 2
+
+    def test_intersection_closed_family_of_1023_sets(self):
+        # every subset of 10 atoms but one 9-set: closed under intersection,
+        # not under union, so the total variation is the literal pair sup
+        omega = tuple(f"w{i}" for i in range(10))
+        family = [A for A in subsets(omega) if A != frozenset(omega[:9])]
+        weights = {w: Fraction(i + 1, 3 * i + 7) for i, w in enumerate(omega)}
+        weights["w3"] = -weights["w3"]
+        M = MeasureStructure(omega, weights, "signed", algebra=tuple(family))
+        start = time.perf_counter()
+        report = audit_preloeb(M)
+        tv = total_variation(M, audit=True)
+        assert time.perf_counter() - start < 2
+        assert not report.ok
+        assert tv == sum(map(abs, weights.values()))
