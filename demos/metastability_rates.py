@@ -16,7 +16,6 @@ from metastable import (
     metastable_witness,
     monotone_uniform_rate,
     osc_eta_exact,
-    osc_eta_upper,
     osc_segment,
     osc_total_exact,
     parse_f_expression,
@@ -70,13 +69,11 @@ print("alternating witness for eps=1:",
 print("alternating exact eta-oscillation:", osc_eta_exact(alt, eta))
 
 # ---------------------------------------------------------------------------
-# Oscillation quantities.  A budgeted search only gives an upper bound; with
-# a declared tail and an interval sampling the infimum collapses to a finite
-# minimum and becomes exact.
+# Oscillation quantities.  With a declared tail the infimum over all windows
+# collapses to a finite minimum and is exact, for every sampling.
 
 hybrid = SequenceSpec(prefix=(0, 10, 0, 1), tail=Periodic(2))
 print("hybrid sequence:", [str(hybrid.value(n)) for n in range(8)])
-print("budgeted bound (budget 0):", osc_eta_upper(hybrid, eta, 0).value)
 print("exact eta-oscillation:", osc_eta_exact(hybrid, eta))
 print("total oscillation:", osc_total_exact(hybrid))
 print("is it 1-Cauchy?", eps_cauchy_exact(hybrid, 1),

@@ -74,7 +74,6 @@ from .measure import (
 from .netcore import (
     AuditResult,
     Constant,
-    OscBound,
     Periodic,
     RateSpec,
     SequenceSpec,
@@ -84,10 +83,8 @@ from .netcore import (
     metastable_witness,
     monotone_uniform_rate,
     osc_eta_exact,
-    osc_eta_upper,
     osc_segment,
     osc_total_exact,
-    periodicity_bound,
     rate_witness,
     sequence_from_csv,
     sequence_from_json,

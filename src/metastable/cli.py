@@ -81,7 +81,7 @@ def _parse_sampling(spec: str) -> Sampling:
     return parse_f_expression(spec)
 
 
-def _parse_rate_set(spec: str) -> frozenset:
+def _parse_rate_set(spec: str) -> frozenset | range:
     spec = spec.strip()
     if spec.startswith("@"):
         data = _load_json(spec[1:])

@@ -168,7 +168,7 @@ def metastable_dct_search(families: Iterable[DirectedFamily], r, s,
             )
         for w, slice_seq in sorted(fam.slices.items()):
             for eps in grid:
-                E = slice_rate.rate_for(eps, eta.key)
+                E = slice_rate.rate_for(eps)
                 if not check_rate(slice_seq, eps, eta, E):
                     raise PreconditionViolated(
                         f"family #{idx}, slice {w!r}: no witness in the "

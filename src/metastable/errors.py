@@ -45,13 +45,12 @@ class NonpositiveEpsilon(MetastableError):
 
 
 class UnsupportedSampling(MetastableError):
-    """The operation needs a linear sampling: kn+c to iterate F, n+c for
-    exact eta-oscillation."""
+    """The operation needs a linear sampling kn+c, to iterate F."""
 
 
 class RateTooLarge(MetastableError):
-    """A requested rate set, or one window of a linear sampling that a
-    check is about to read, has more than MAX_RATE_SIZE elements."""
+    """A rate set to be built (a monotone rate, or lo..hi on the command
+    line) has more than MAX_RATE_SIZE elements."""
 
 
 # -- input files ------------------------------------------------------------

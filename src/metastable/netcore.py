@@ -4,7 +4,7 @@ A sequence is a finite prefix plus a declared tail mode (constant, or
 periodic repetition of the last p prefix values).  That declaration is the
 exactness boundary: total oscillation and eta-oscillation are limit
 quantities, and only tail-structured sequences make them finite
-computations.  Everything else returns explicitly flagged upper bounds.
+computations.
 
 Values are exact rationals (scalars, or tuples under the sup metric), and
 every metastability comparison is the exact osc <= eps.  Decimal text in a
@@ -16,10 +16,14 @@ linear sampling the windows [i, ki+c] of ascending i slide to the right,
 so a min deque and a max deque per coordinate keep the extremes of the
 current window and each sequence value is read at most once: a rate check
 costs O(F(max E) - min E) reads and comparisons, not the sum of the window
-lengths.  A window longer than MAX_RATE_SIZE is refused before it is read.
-Values are compared natively, so rationals stay exact.  Explicit
-samplings fall back to `osc_segment`, the literal definition, which is also
-the oracle the tests hold the kernel to.
+lengths.  From max(i, T) on, where T is the tail start and p the period,
+any p consecutive values hold the whole period, so window i is read only up
+to min(ki+c, max(i, T)+p-1): no window reads more than T-i+p values, and
+past T a failing window fails again p indices later, so a witness search
+stops once failures have covered every residue modulo p.  Values are
+compared natively, so rationals stay exact.  Explicit samplings fall back to
+`osc_segment`, the literal definition, which is also the oracle the tests
+hold the kernel to.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ from .errors import (
     NonpositiveEpsilon,
     RateTooLarge,
     SamplingDomainError,
-    UnsupportedSampling,
 )
 from .rationals import format_rational, parse_rational
 
@@ -69,11 +72,9 @@ class Periodic:
 Tail = Union[Constant, Periodic]
 
 # Largest rate set built on request (`monotone_uniform_rate`, `lo..hi` on the
-# command line), and longest window of a linear sampling read.  Larger
-# requests are refused before anything is allocated or read: a rate that
-# size takes about 67 MB as a frozenset, the next doublings (F = 2n+1 at
-# eps = 1/40 asks for 2**40 elements) exhaust memory, and one window of
-# 1000000n+1 at 9 reads 9*10**6 values.
+# command line).  Larger requests are refused before anything is built: the
+# command line prints a built rate as a list, and the next doublings (F =
+# 2n+1 at eps = 1/40 asks for 2**40 elements) would exhaust memory.
 MAX_RATE_SIZE = 1 << 20
 
 
@@ -193,23 +194,36 @@ def _window_oscs(seq: SequenceSpec, eta: Sampling,
                  indices: Sequence[int]) -> Iterator[Fraction]:
     """Exact oscillation of eta_i for each i of the ascending `indices`.
 
-    Values are read lazily through a `_CappedSeq` capped at the largest
-    index of any window (F(max indices) for a linear sampling), so a
-    caller that stops at a witness i has read nothing past max(eta_i).
-    Before reading a linear window longer than MAX_RATE_SIZE it raises
-    RateTooLarge; the windows before it have been yielded.
+    A linear window [i, ki+c] is read only up to min(ki+c, max(i,T)+p-1),
+    with T the tail start and p the period: from max(i, T) on, p
+    consecutive values hold the whole period, so the clamped window has the
+    same extremes.  Values are read lazily through a `_CappedSeq` capped at
+    the largest index any window reads, so a caller that stops at a witness
+    i has read nothing past max(eta_i).  A table window that is empty or
+    reaches below its own index raises SamplingDomainError before anything
+    is read.
     """
     if not indices:
         return
     if eta.table is not None:
-        guarded = _CappedSeq(seq, max(eta.max_index(i) for i in indices))
-        for i in indices:
-            yield osc_segment(guarded, eta.eta(i))
+        windows = [eta.eta(i) for i in indices]
+        for i, window in zip(indices, windows):
+            if not window:
+                raise SamplingDomainError(
+                    f"sampling has an empty window at {i!r}")
+            if window[0] < i:
+                raise SamplingDomainError(
+                    f"the window at {i!r} reads index {window[0]}, outside "
+                    f"the tail above {i!r}")
+        guarded = _CappedSeq(seq, max(window[-1] for window in windows))
+        for window in windows:
+            yield osc_segment(guarded, window)
         return
     if indices[0] < 0:
         raise SamplingDomainError(f"index {indices[0]} not in ℕ")
-    k, c = eta.k, eta.c
-    read = _CappedSeq(seq, k * indices[-1] + c).value
+    k, c, T, p = eta.k, eta.c, seq.tail_start, seq.period
+    end = indices[-1]
+    read = _CappedSeq(seq, min(k * end + c, max(end, T) + p - 1)).value
     tuples = isinstance(seq.prefix[0], tuple)
     # per coordinate, (index, value) pairs of increasing values (low) and
     # of decreasing values (high): the fronts are the window's extremes.
@@ -219,12 +233,6 @@ def _window_oscs(seq: SequenceSpec, eta: Sampling,
     tracks = [(deque(), deque()) for _ in range(width)]
     unread = 0
     for i in indices:
-        top = k * i + c
-        if top - i + 1 > MAX_RATE_SIZE:
-            raise RateTooLarge(
-                f"window {i} of {eta.key} has {top - i + 1} indices, more than "
-                f"MAX_RATE_SIZE = {MAX_RATE_SIZE}"
-            )
         if i >= unread:
             for low, high in tracks:
                 low.clear()
@@ -236,6 +244,8 @@ def _window_oscs(seq: SequenceSpec, eta: Sampling,
                     low.popleft()
                 while high[0][0] < i:
                     high.popleft()
+        # both terms are nondecreasing in i, so the window slides right
+        top = min(k * i + c, max(i, T) + p - 1)
         for j in range(unread, top + 1):
             value = read(j)
             for (low, high), x in zip(tracks, value if tuples else (value,)):
@@ -251,15 +261,32 @@ def _window_oscs(seq: SequenceSpec, eta: Sampling,
 
 def _first_witness(seq: SequenceSpec, eps: Fraction, eta: Sampling,
                    indices: Sequence[int]) -> Optional[int]:
-    """First i of the ascending `indices` whose window oscillates <= eps."""
+    """First i of the ascending `indices` whose window oscillates <= eps.
+
+    For a linear sampling and i >= T, a failing window i fails again at
+    i+p: it sees the same cyclic segment, at least as long.  So the search
+    stops with None once failures past T cover every residue (i-T) mod p
+    that later indices can have: all p of them, or for a range of step s
+    the p/gcd(s, p) of one coset.
+    """
+    T, p = seq.tail_start, seq.period
+    reachable = p // math.gcd(indices.step, p) \
+        if isinstance(indices, range) else p
+    failed = set()
     for i, osc in zip(indices, _window_oscs(seq, eta, indices)):
         if osc <= eps:
             return i
+        if eta.table is None and i >= T:
+            failed.add((i - T) % p)
+            if len(failed) == reachable:
+                return None
     return None
 
 
-def _sorted_rate(E: Iterable[int]) -> list:
-    E = sorted(set(E))
+def _sorted_rate(E: Iterable[int]) -> Sequence[int]:
+    """E ascending without repeats; a range with positive step as it is."""
+    if not (isinstance(E, range) and E.step > 0):
+        E = sorted(set(E))
     if not E:
         raise EmptyRate("no sequence has an empty rate")
     return E
@@ -293,13 +320,13 @@ def rate_witness(seq: SequenceSpec, eps, eta: Sampling,
     return _first_witness(seq, parse_rational(eps), eta, _sorted_rate(E))
 
 
-def monotone_uniform_rate(eps, eta: Sampling) -> frozenset:
+def monotone_uniform_rate(eps, eta: Sampling) -> range:
     """The uniform rate {0, ..., F^(k)(0)} with k = ceil(1/eps).
 
     Valid for every monotone nondecreasing sequence in [0, 1]: at least one
     of the k chained window differences cannot exceed eps.  Raises
-    RateTooLarge, before building the set, above MAX_RATE_SIZE elements,
-    and UnsupportedSampling for an explicit sampling.
+    RateTooLarge above MAX_RATE_SIZE elements, and UnsupportedSampling for
+    an explicit sampling.
     """
     eps = parse_rational(eps)
     if eps <= 0:
@@ -312,56 +339,29 @@ def monotone_uniform_rate(eps, eta: Sampling) -> frozenset:
                 f"the monotone rate at epsilon {format_rational(eps)} has more "
                 f"than MAX_RATE_SIZE = {MAX_RATE_SIZE} elements"
             )
-    return frozenset(range(top + 1))
+    return range(top + 1)
 
 
-def rate_interval(lo: int, hi: int) -> frozenset:
-    """The rate {lo..hi}; RateTooLarge, before building it, above
-    MAX_RATE_SIZE elements."""
+def rate_interval(lo: int, hi: int) -> range:
+    """The rate {lo..hi}; RateTooLarge above MAX_RATE_SIZE elements."""
     if hi - lo + 1 > MAX_RATE_SIZE:
         raise RateTooLarge(
             f"rate {lo}..{hi} has {hi - lo + 1} elements, more than "
             f"MAX_RATE_SIZE = {MAX_RATE_SIZE}"
         )
-    return frozenset(range(lo, hi + 1))
-
-
-def periodicity_bound(seq: SequenceSpec, eta: Sampling) -> int:
-    """Index horizon past which i -> osc over eta_i repeats.
-
-    Requires eta = n+c; the map is then eventually periodic with the
-    sequence's period once windows sit inside the periodic region.
-    """
-    if eta.k != 1:
-        raise UnsupportedSampling(
-            "exact eta-oscillation needs a sampling n+c; "
-            "use osc_eta_upper for other samplings"
-        )
-    return seq.tail_start + seq.period * (eta.c + 1)
+    return range(lo, hi + 1)
 
 
 def osc_eta_exact(seq: SequenceSpec, eta: Sampling) -> Fraction:
     """Exact inf over all i of the window oscillation osc over eta_i.
 
-    Tail structure makes the infimum a minimum over [0, periodicity bound].
+    For a table it is the minimum over the table's domain.  For kn+c it is
+    the minimum over i < T+p: past T, i -> osc is p-periodic when k = 1,
+    and when k >= 2 every window past max(T, p-2) covers a full period.
     """
-    B = periodicity_bound(seq, eta)
-    return min(_window_oscs(seq, eta, range(B + 1)))
-
-
-@dataclass(frozen=True)
-class OscBound:
-    """A budgeted oscillation estimate; only ever an upper bound."""
-
-    value: Fraction
-    upper_bound_only: bool = True
-
-
-def osc_eta_upper(seq: SequenceSpec, eta: Sampling, budget: int) -> OscBound:
-    """min over i <= budget of the window oscillation, flagged as an upper bound."""
-    if budget < 0:
-        raise ValueError("budget must be >= 0")
-    return OscBound(min(_window_oscs(seq, eta, range(budget + 1))))
+    domain = sorted(eta.table) if eta.table is not None \
+        else range(seq.tail_start + seq.period)
+    return min(_window_oscs(seq, eta, domain))
 
 
 def osc_total_exact(seq: SequenceSpec) -> Fraction:
@@ -405,7 +405,7 @@ def uniform_rate_audit(family: Iterable[SequenceSpec], eps, eta: Sampling,
 
 
 def brute_min_uniform_rate(family: Sequence[SequenceSpec], eps, eta: Sampling,
-                           horizon: int) -> Optional[frozenset]:
+                           horizon: int) -> Optional[range]:
     """Smallest prefix rate {0..m}, m <= horizon, valid for the whole family.
 
     {0..m} is valid for a member exactly when its first witness in
@@ -418,7 +418,7 @@ def brute_min_uniform_rate(family: Sequence[SequenceSpec], eps, eta: Sampling,
         if witness is None:
             return None
         top = max(top, witness)
-    return frozenset(range(top + 1))
+    return range(top + 1)
 
 
 # -- rate collections ---------------------------------------------------------
@@ -426,79 +426,39 @@ def brute_min_uniform_rate(family: Sequence[SequenceSpec], eps, eta: Sampling,
 
 @dataclass(frozen=True)
 class RateSpec:
-    """A metastability rate: one finite set, or sets indexed by epsilon
-    (and sampling key), all above a threshold r.
+    """A metastability rate: one finite set per epsilon, every epsilon above
+    a threshold r.  A range is stored as a range, any other set as a
+    frozenset.
 
     A classical Cauchy modulus M_eps is encoded as the singleton rates
-    E_{eps, eta} = {M_eps}.
+    {M_eps}.
     """
 
+    per_epsilon: Mapping[Fraction, Union[range, frozenset]]
     r: Fraction = Fraction(0)
-    single: Optional[frozenset] = None
-    per_epsilon: Optional[Mapping[Fraction, frozenset]] = None
-    per_epsilon_eta: Optional[Mapping[tuple, frozenset]] = None
 
     def __post_init__(self):
         object.__setattr__(self, "r", parse_rational(self.r))
-        populated = [x for x in (self.single, self.per_epsilon,
-                                 self.per_epsilon_eta) if x is not None]
-        if len(populated) != 1:
-            raise ValueError("exactly one rate payload must be given")
         if self.r < 0:
             raise ValueError("threshold r must be >= 0")
-        if self.single is not None:
-            object.__setattr__(self, "single", frozenset(self.single))
-            if not self.single:
+        norm = {}
+        for eps, E in self.per_epsilon.items():
+            eps = parse_rational(eps)
+            if eps <= self.r:
+                raise ValueError(
+                    f"epsilon key {eps} must exceed the threshold {self.r}")
+            if not isinstance(E, range):
+                E = frozenset(E)
+            if not E:
                 raise EmptyRate("rate set is empty")
-        if self.per_epsilon is not None:
-            norm = {}
-            for eps, E in self.per_epsilon.items():
-                eps = parse_rational(eps)
-                self._check_eps(eps)
-                norm[eps] = self._check_set(E)
-            object.__setattr__(self, "per_epsilon", norm)
-        if self.per_epsilon_eta is not None:
-            norm = {}
-            for (eps, key), E in self.per_epsilon_eta.items():
-                eps = parse_rational(eps)
-                self._check_eps(eps)
-                norm[(eps, key)] = self._check_set(E)
-            object.__setattr__(self, "per_epsilon_eta", norm)
-
-    def _check_eps(self, eps):
-        if eps <= self.r:
-            raise ValueError(f"epsilon key {eps} must exceed the threshold {self.r}")
-
-    @staticmethod
-    def _check_set(E) -> frozenset:
-        E = frozenset(E)
-        if not E:
-            raise EmptyRate("rate set is empty")
-        return E
+            norm[eps] = E
+        object.__setattr__(self, "per_epsilon", norm)
 
     def epsilons(self) -> tuple:
-        if self.per_epsilon is not None:
-            return tuple(sorted(self.per_epsilon))
-        if self.per_epsilon_eta is not None:
-            return tuple(sorted({eps for eps, _ in self.per_epsilon_eta}))
-        return ()
+        return tuple(sorted(self.per_epsilon))
 
-    def rate_for(self, eps=None, eta_key: Optional[str] = None) -> frozenset:
-        if self.single is not None:
-            return self.single
-        if self.per_epsilon is not None:
-            return self.per_epsilon[parse_rational(eps)]
-        return self.per_epsilon_eta[(parse_rational(eps), eta_key)]
-
-    @classmethod
-    def from_cauchy_modulus(cls, modulus: Mapping, eta_keys: Iterable[str],
-                            r=0) -> "RateSpec":
-        table = {
-            (parse_rational(eps), key): frozenset({M})
-            for eps, M in modulus.items()
-            for key in eta_keys
-        }
-        return cls(r=r, per_epsilon_eta=table)
+    def rate_for(self, eps) -> Union[range, frozenset]:
+        return self.per_epsilon[parse_rational(eps)]
 
 
 # -- serialization -------------------------------------------------------------

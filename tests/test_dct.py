@@ -208,7 +208,7 @@ class TestSearch:
         )
         assert result.feasible
         for eps in grid:
-            assert result.rate.per_epsilon[eps] == frozenset({0})
+            assert result.rate.per_epsilon[eps] == range(1)
 
     def test_monotone_class_within_paper_rate(self):
         grid = self.grid()
@@ -219,7 +219,8 @@ class TestSearch:
         )
         assert result.feasible
         for eps in grid:
-            assert result.rate.per_epsilon[eps] <= monotone_uniform_rate(eps, ETA1)
+            assert set(result.rate.per_epsilon[eps]) <= \
+                set(monotone_uniform_rate(eps, ETA1))
 
     def test_held_out_validation(self):
         grid = self.grid()

@@ -1,6 +1,8 @@
 import json
 import random
+import time
 from fractions import Fraction as F
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -25,11 +27,9 @@ from metastable import (
     metastable_witness,
     monotone_uniform_rate,
     osc_eta_exact,
-    osc_eta_upper,
     osc_segment,
     osc_total_exact,
     parse_f_expression,
-    periodicity_bound,
     rate_witness,
     sequence_from_csv,
     sequence_from_json,
@@ -153,14 +153,14 @@ class TestCheckRate:
 
 class TestMonotoneUniformRate:
     def test_eps_one(self):
-        assert monotone_uniform_rate(1, ETA1) == frozenset({0, 1})
+        assert monotone_uniform_rate(1, ETA1) == range(2)
 
     def test_doubling(self):
         eta = parse_f_expression("2n+1")
-        assert monotone_uniform_rate(F(2, 5), eta) == frozenset(range(8))
+        assert monotone_uniform_rate(F(2, 5), eta) == range(8)
 
     def test_half(self):
-        assert monotone_uniform_rate(F(1, 2), ETA1) == frozenset({0, 1, 2})
+        assert monotone_uniform_rate(F(1, 2), ETA1) == range(3)
 
     def test_nonpositive(self):
         with pytest.raises(NonpositiveEpsilon):
@@ -189,64 +189,74 @@ class TestOscEta:
         s = SequenceSpec(prefix=(0, 10, 0, 1), tail=Periodic(2))
         assert osc_eta_exact(s, ETA1) == 1
 
-    def test_requires_affine(self):
-        eta = parse_f_expression("2n+1")
-        with pytest.raises(UnsupportedSampling):
-            osc_eta_exact(alternating_sequence(), eta)
+    def test_doubling_sampling_exact(self):
+        s = SequenceSpec(prefix=(0, 10, 0, 1), tail=Periodic(2))
+        for F_text in ("2n+1", "3n+2"):
+            assert osc_eta_exact(s, parse_f_expression(F_text)) == 1
+        assert osc_eta_exact(alternating_sequence(),
+                             parse_f_expression("2n+1")) == 2
 
-    def test_upper_bound_flagged(self):
-        got = osc_eta_upper(harmonic_prefix(12), ETA1, 10)
-        assert got.upper_bound_only
-        assert got.value == F(1, 11) - F(1, 12)
+    def test_table_minimum_over_domain(self):
+        s = SequenceSpec(prefix=(0, 1, 5), tail=Constant())
+        eta = explicit_sampling({0: (0, 1), 1: (1, 2), 4: (4, 9)})
+        assert osc_eta_exact(s, eta) == 0
+
+    def test_harmonic_prefix_exact(self):
+        # a search over i <= 10 only bounds the infimum from above; the
+        # constant tail from index 11 on attains it
+        seq = harmonic_prefix(12)
+        assert min(osc_segment(seq, ETA1.eta(i)) for i in range(11)) == \
+            F(1, 11) - F(1, 12)
+        assert osc_eta_exact(seq, ETA1) == 0
 
     def test_upper_matches_exact_on_alternating(self):
-        got = osc_eta_upper(alternating_sequence(), ETA1, 50)
-        assert got.value == 2 == osc_eta_exact(alternating_sequence(), ETA1)
+        alt = alternating_sequence()
+        assert min(osc_segment(alt, ETA1.eta(i)) for i in range(51)) == 2 \
+            == osc_eta_exact(alt, ETA1)
 
     @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 10**6), w=st.integers(1, 3))
-    def test_exact_threshold_brackets_witnesses(self, seed, w):
-        # the exact eta-oscillation is the sharp witness threshold at the
-        # periodicity bound: witnesses exist at or above it, never below
+    @given(seed=st.integers(0, 10**6), k=st.integers(1, 3), c=st.integers(1, 3))
+    def test_exact_threshold_brackets_witnesses(self, seed, k, c):
+        # the exact eta-oscillation is the sharp witness threshold within
+        # the horizon T + p: witnesses exist at or above it, never below
         rng = random.Random(seed)
         seq = random_tail_sequence(rng, max_prefix=5, max_period=3)
-        eta = affine_sampling(w)
-        B = periodicity_bound(seq, eta)
+        eta = parse_f_expression(f"{k}n+{c}")
+        B = seq.tail_start + seq.period - 1
         exact = osc_eta_exact(seq, eta)
         for above in (exact, exact + F(1, 9), exact + 1):
             assert metastable_witness(seq, above, eta, B) is not None
         if exact > 0:
             for below in (exact * F(1, 2), exact * F(8, 9)):
-                assert metastable_witness(seq, below, eta, B) is None
+                assert metastable_witness(seq, below, eta, 5 * B + 20) is None
 
     @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 10**6), w=st.integers(1, 3))
-    def test_upper_nonincreasing_reaches_exact(self, seed, w):
+    @given(seed=st.integers(0, 10**6), k=st.integers(1, 3), c=st.integers(1, 3))
+    def test_upper_nonincreasing_reaches_exact(self, seed, k, c):
+        # the literal minimum over i <= budget only falls as the budget
+        # grows, and equals the exact value from budget T + p - 1 on
         rng = random.Random(seed)
         seq = random_tail_sequence(rng, max_prefix=5, max_period=3)
-        eta = affine_sampling(w)
-        B = periodicity_bound(seq, eta)
-        exact = osc_eta_exact(seq, eta)
-        prev = None
-        for budget in range(B + 1):
-            value = osc_eta_upper(seq, eta, budget).value
-            if prev is not None:
-                assert value <= prev
-            prev = value
-        assert prev == exact
+        eta = parse_f_expression(f"{k}n+{c}")
+        horizon = seq.tail_start + seq.period - 1
+        running = list(accumulate(
+            (osc_segment(seq, eta.eta(i)) for i in range(3 * horizon + 10)),
+            min))
+        assert running[horizon] == running[-1] == osc_eta_exact(seq, eta)
 
 
 class TestPeriodicityBound:
     @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 10**6), w=st.integers(1, 3))
-    def test_no_smaller_window_beyond_bound(self, seed, w):
-        # the infimum over all window positions is already attained within
-        # the periodicity bound; scanning five times farther finds nothing new
+    @given(seed=st.integers(0, 10**6), k=st.integers(1, 3), c=st.integers(1, 4))
+    def test_no_smaller_window_beyond_bound(self, seed, k, c):
+        # the infimum over all window positions is attained below T + p;
+        # a literal scan five times farther finds nothing smaller
         rng = random.Random(seed)
         seq = random_tail_sequence(rng, max_prefix=5, max_period=4)
-        eta = affine_sampling(w)
-        B = periodicity_bound(seq, eta)
-        assert osc_eta_upper(seq, eta, 5 * B).value == osc_eta_exact(seq, eta)
+        eta = parse_f_expression(f"{k}n+{c}")
+        budget = 5 * (seq.tail_start + seq.period + c)
+        assert osc_eta_exact(seq, eta) == min(
+            osc_segment(seq, eta.eta(i)) for i in range(budget + 1))
 
 
 class TestOscTotal:
@@ -302,7 +312,7 @@ class TestUniformRateAudit:
 
     def test_brute_min_constants(self):
         fam = [SequenceSpec(prefix=(c,), tail=Constant()) for c in range(3)]
-        assert brute_min_uniform_rate(fam, F(1, 2), ETA1, 5) == frozenset({0})
+        assert brute_min_uniform_rate(fam, F(1, 2), ETA1, 5) == range(1)
 
     def test_brute_min_infeasible(self):
         fam = [alternating_sequence()]
@@ -313,40 +323,67 @@ class TestUniformRateAudit:
         fam = [random_monotone_sequence(rng) for _ in range(40)]
         eps = F(1, 2)
         E = brute_min_uniform_rate(fam, eps, ETA1, 10)
-        assert E is not None and E <= monotone_uniform_rate(eps, ETA1)
+        assert E is not None
+        assert set(E) <= set(monotone_uniform_rate(eps, ETA1))
+
+
+class Spy(SequenceSpec):
+    """A sequence that records every index read."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        object.__setattr__(self, "calls", [])
+
+    def value(self, n):
+        self.calls.append(n)
+        return super().value(n)
 
 
 class TestFinitarity:
     def test_check_rate_never_reads_past_cap(self):
-        calls = []
-
-        class Spy(SequenceSpec):
-            def value(self, n):
-                calls.append(n)
-                return super().value(n)
-
         seq = Spy(prefix=(0, 1, 2), tail=Constant())
         E = {0, 2}
         check_rate(seq, 0, ETA1, E)
-        assert max(calls) <= max(ETA1.max_index(i) for i in E)
+        assert max(seq.calls) <= max(ETA1.max_index(i) for i in E)
+
+    @pytest.mark.parametrize("F_text", ["n+1", "n+5", "2n+1", "3n+4"])
+    @pytest.mark.parametrize("lo", [0, 3, 10 ** 6])
+    def test_huge_range_answers_fast(self, F_text, lo):
+        # failures past T cover every residue mod p within p windows, so
+        # reads stop at max(min E, T) + 2p - 2 however long E is
+        seq = Spy(prefix=(0, 5, 0, 1, F(1, 2)), tail=Periodic(3))
+        eta = parse_f_expression(F_text)
+        T, p = seq.tail_start, seq.period
+        E = range(lo, 2 ** 40)
+        start = time.perf_counter()
+        assert not check_rate(seq, F(1, 4), eta, E)
+        assert time.perf_counter() - start < 0.01
+        assert max(seq.calls) <= max(lo, T) + 2 * p - 2
+        assert check_rate(seq, 1, eta, E)
+        assert max(seq.calls) <= eta.f(E[-1])
+
+    def test_stepped_range_stops_on_its_coset(self):
+        # a range of step 2 over period 4 reaches only two residues mod 4
+        seq = Spy(prefix=(0, 1, 0, 1), tail=Periodic(4))
+        start = time.perf_counter()
+        assert rate_witness(seq, F(1, 2), ETA1, range(0, 2 ** 40, 2)) is None
+        assert time.perf_counter() - start < 0.01
+        assert max(seq.calls) <= 2 + 4 - 1
 
 
 class TestWindowCap:
-    """One linear window longer than MAX_RATE_SIZE is refused unread."""
+    """No window is capped: past the tail start a window reads at most one
+    period, so any window length answers exactly."""
 
-    def test_long_window_refused_before_reading(self):
-        calls = []
-
-        class Spy(SequenceSpec):
-            def value(self, n):
-                calls.append(n)
-                return super().value(n)
-
+    def test_long_window_answers_without_over_read(self):
         seq = Spy(prefix=(0, 1, 0), tail=Periodic(2))
         eta = parse_f_expression("1000000n+1")
-        with pytest.raises(RateTooLarge, match="window 9 "):
-            rate_witness(seq, F(1, 2), eta, {0, 9})
-        assert max(calls) <= eta.f(0)
+        start = time.perf_counter()
+        # window 9 holds both 0 and 1, and is read only up to index 10
+        assert rate_witness(seq, F(1, 2), eta, {0, 9}) is None
+        assert rate_witness(seq, 1, eta, {9}) == 9
+        assert time.perf_counter() - start < 1
+        assert max(seq.calls) <= 9 + seq.period - 1 < eta.f(9)
 
     def test_witness_before_long_window_answers(self):
         seq = SequenceSpec(prefix=(0,), tail=Constant())
@@ -354,39 +391,41 @@ class TestWindowCap:
         assert rate_witness(seq, 0, eta, {0, 9}) == 0
 
     def test_longest_allowed_window_is_read(self, monkeypatch):
+        # MAX_RATE_SIZE caps only rates built on request, not windows
         monkeypatch.setattr(netcore, "MAX_RATE_SIZE", 8)
         seq = SequenceSpec(prefix=(0,), tail=Constant())
-        assert rate_witness(seq, 0, affine_sampling(7), {0}) == 0
-        assert rate_witness(seq, 0, parse_f_expression("2n+1"), {6}) == 6
+        assert rate_witness(seq, 0, affine_sampling(8), {0}) == 0
+        assert rate_witness(seq, 0, parse_f_expression("2n+1"), {7}) == 7
         with pytest.raises(RateTooLarge):
-            rate_witness(seq, 0, affine_sampling(8), {0})
-        with pytest.raises(RateTooLarge):
-            rate_witness(seq, 0, parse_f_expression("2n+1"), {7})
+            netcore.rate_interval(0, 8)
 
     def test_explicit_sampling_has_no_f(self):
         eta = explicit_sampling({0: (0, 1)})
         with pytest.raises(UnsupportedSampling):
             monotone_uniform_rate(F(1, 2), eta)
         with pytest.raises(UnsupportedSampling):
-            osc_eta_exact(SequenceSpec(prefix=(0,)), eta)
+            eta.f(0)
 
 
 class TestRateSpec:
     def test_single(self):
-        r = RateSpec(single={0, 1})
-        assert r.rate_for() == frozenset({0, 1})
+        r = RateSpec(per_epsilon={1: {0, 1}, F(1, 2): range(2 ** 40)})
+        assert r.rate_for(1) == frozenset({0, 1})
+        assert r.rate_for(F(1, 2)) == range(2 ** 40)
 
     def test_per_epsilon_keys_above_r(self):
         with pytest.raises(ValueError):
             RateSpec(r=F(1, 2), per_epsilon={F(1, 4): {0}})
 
     def test_empty_set_rejected(self):
-        with pytest.raises(EmptyRate):
-            RateSpec(single=set())
+        for E in (set(), range(0)):
+            with pytest.raises(EmptyRate):
+                RateSpec(per_epsilon={1: E})
 
     def test_cauchy_modulus_encoding(self):
-        r = RateSpec.from_cauchy_modulus({F(1, 2): 7}, ["n+1"])
-        assert r.rate_for(F(1, 2), "n+1") == frozenset({7})
+        # a Cauchy modulus M_eps is the family of singleton rates {M_eps}
+        r = RateSpec(per_epsilon={F(1, 2): {7}})
+        assert r.rate_for(F(1, 2)) == frozenset({7})
 
 
 class TestSerialization:

@@ -3,7 +3,8 @@
 Every rerouted function is compared with a loop over `osc_segment` on
 generated sequences (scalar and tuple values, constant and periodic tails)
 and samplings (n+c, kn+c, explicit tables), with rates that
-have gaps.  A spy sequence shows what a rate check reads.
+have gaps, sparse rates and rates given as huge ranges.  A spy sequence
+shows what a rate check reads.
 """
 
 from fractions import Fraction as F
@@ -20,10 +21,8 @@ from metastable import (
     explicit_sampling,
     metastable_witness,
     osc_eta_exact,
-    osc_eta_upper,
     osc_segment,
     parse_f_expression,
-    periodicity_bound,
     rate_witness,
     uniform_rate_audit,
 )
@@ -73,7 +72,7 @@ def literal_brute_min(family, eps, eta, horizon):
     for m in range(horizon + 1):
         if all(literal_witness(s, eps, eta, range(m + 1)) is not None
                for s in family):
-            return frozenset(range(m + 1))
+            return range(m + 1)
     return None
 
 
@@ -89,19 +88,13 @@ def test_witnesses_match_literal(seq, eta, eps, E, bound):
 
 
 @settings(max_examples=150, deadline=None)
-@given(seq=sequences(), eta=samplings(), budget=st.integers(0, TABLE_TOP))
-def test_osc_eta_upper_matches_literal(seq, eta, budget):
-    assert osc_eta_upper(seq, eta, budget).value == min(
-        osc_segment(seq, eta.eta(i)) for i in range(budget + 1))
-
-
-@settings(max_examples=150, deadline=None)
-@given(seq=sequences(), w=st.integers(1, 4))
-def test_osc_eta_exact_matches_literal(seq, w):
-    eta = parse_f_expression(f"n+{w}")
-    B = periodicity_bound(seq, eta)
+@given(seq=sequences(), eta=samplings())
+def test_osc_eta_exact_matches_literal(seq, eta):
+    # a table's own domain, or a literal scan far past T + p
+    domain = range(TABLE_TOP + 1) if eta.table is not None \
+        else range(4 * (len(seq.prefix) + 4))
     assert osc_eta_exact(seq, eta) == min(
-        osc_segment(seq, eta.eta(i)) for i in range(B + 1))
+        osc_segment(seq, eta.eta(i)) for i in domain)
 
 
 @settings(max_examples=100, deadline=None)
@@ -118,24 +111,75 @@ def test_family_searches_match_literal(family, eta, eps, horizon, E):
     assert result.index == (failing[0] if failing else None)
 
 
+def literal_scan(seq, eps, eta, E):
+    """Indices a rate check evaluates: up to the first witness, or until
+    failures past T cover every residue mod p (all windows at i >= T with
+    one residue fail alike)."""
+    T, p = seq.tail_start, seq.period
+    scanned, failed = [], set()
+    for i in E:
+        scanned.append(i)
+        if osc_segment(seq, eta.eta(i)) <= eps:
+            break
+        if i >= T:
+            failed.add((i - T) % p)
+            if len(failed) == p:
+                break
+    return scanned
+
+
+def clamped(seq, eta, i):
+    """Window i up to max(i, T) + p - 1, where it holds a whole period."""
+    return range(i, min(eta.f(i), max(i, seq.tail_start) + seq.period - 1) + 1)
+
+
+class Spy(SequenceSpec):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        object.__setattr__(self, "calls", [])
+
+    def value(self, n):
+        self.calls.append(n)
+        return super().value(n)
+
+
 @settings(max_examples=150, deadline=None)
 @given(seq=sequences(), F_text=st.sampled_from(
     ["n+1", "n+3", "2n+1", "3n+2"]), eps=epsilons,
     E=st.sets(st.integers(0, 40), min_size=1, max_size=8))
 def test_rate_check_reads_each_needed_value_once(seq, F_text, eps, E):
-    calls = []
-
-    class Spy(SequenceSpec):
-        def value(self, n):
-            calls.append(n)
-            return super().value(n)
-
     spy = Spy(prefix=seq.prefix, tail=seq.tail)
     eta = parse_f_expression(F_text)
-    witness = rate_witness(spy, eps, eta, E)
-    scanned = [i for i in sorted(E) if witness is None or i <= witness]
-    assert max(calls) <= eta.f(max(E))
-    assert max(calls) == eta.f(scanned[-1])
-    # exactly the union of the scanned windows, each index once
-    assert sorted(calls) == sorted(
-        set().union(*(range(i, eta.f(i) + 1) for i in scanned)))
+    rate_witness(spy, eps, eta, E)
+    scanned = literal_scan(seq, eps, eta, sorted(E))
+    assert max(spy.calls) <= eta.f(max(E))
+    # exactly the union of the scanned clamped windows, each index once
+    assert sorted(spy.calls) == sorted(
+        set().union(*(clamped(seq, eta, i) for i in scanned)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seq=sequences(), F_text=st.sampled_from(
+    ["n+1", "n+4", "2n+1", "3n+2"]), eps=epsilons,
+    E=st.sets(st.integers(0, 300), min_size=1, max_size=12))
+def test_early_exit_on_sparse_rates_matches_literal(seq, F_text, eps, E):
+    eta = parse_f_expression(F_text)
+    E = sorted(E)
+    assert rate_witness(seq, eps, eta, E) == literal_witness(seq, eps, eta, E)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seq=sequences(), F_text=st.sampled_from(
+    ["n+1", "n+4", "2n+1", "3n+2"]), eps=epsilons,
+    start=st.integers(0, 12), step=st.integers(1, 6))
+def test_huge_range_rate_matches_literal(seq, F_text, eps, start, step):
+    # the literal scan covers the range's first 40 indices, far past where
+    # every window repeats one already seen
+    eta = parse_f_expression(F_text)
+    spy = Spy(prefix=seq.prefix, tail=seq.tail)
+    E = range(start, 2 ** 40, step)
+    assert rate_witness(spy, eps, eta, E) == \
+        literal_witness(seq, eps, eta, E[:40])
+    # the first index past T, then p windows at most, each clamped
+    assert max(spy.calls) <= max(start, seq.tail_start) + \
+        seq.period * (step + 1) - 2
