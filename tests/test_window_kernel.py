@@ -97,6 +97,20 @@ def test_osc_eta_exact_matches_literal(seq, eta):
         osc_segment(seq, eta.eta(i)) for i in domain)
 
 
+@settings(max_examples=150, deadline=None)
+@given(seq=sequences(), eta=samplings(), budget=st.integers(0, TABLE_TOP))
+def test_osc_eta_upper_matches_literal(seq, eta, budget):
+    # every budgeted literal min is an upper bound on the exact value, and
+    # meets it once the budget covers the table or the horizon T + p
+    upper = min(osc_segment(seq, eta.eta(i)) for i in range(budget + 1))
+    exact = osc_eta_exact(seq, eta)
+    assert exact <= upper
+    horizon = TABLE_TOP if eta.table is not None \
+        else seq.tail_start + seq.period - 1
+    if budget >= horizon:
+        assert exact == upper
+
+
 @settings(max_examples=100, deadline=None)
 @given(family=st.lists(sequences(), max_size=5),
        eta=samplings(), eps=epsilons, horizon=st.integers(0, TABLE_TOP - 4),
