@@ -20,22 +20,14 @@ from .dct import (
     metastable_dct_search,
 )
 from .directed import (
-    DirectedSet,
     Sampling,
-    SamplingReport,
     affine_sampling,
-    directed_set_from_json,
-    directed_set_to_json,
     explicit_sampling,
-    make_finite_directed,
-    make_nat,
     parse_f_expression,
     sampling_from_json,
     sampling_to_json,
-    validate_sampling,
 )
 from .errors import (
-    AnchorNotLeast,
     EmptyRate,
     FormulaSyntaxError,
     IncoherentTails,
@@ -44,8 +36,6 @@ from .errors import (
     NonpositiveDelta,
     NonpositiveEpsilon,
     NonpositiveRadius,
-    NotDirected,
-    NotPartialOrder,
     NotStrictlyIncreasing,
     PreconditionViolated,
     RateTooLarge,

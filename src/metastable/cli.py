@@ -126,12 +126,13 @@ def cmd_analyze(args) -> int:
     report = {
         "eps": format_rational(eps),
         "F": args.F,
-        "E": _rate_to_list(E),
         "holds": holds,
         "witness": witness,
         "osc_total": format_rational(osc_total_exact(seq)),
         "eps_cauchy": eps_cauchy_exact(seq, eps),
     }
+    if args.json:
+        report["E"] = _rate_to_list(E)
     lines = [
         f"rate holds, witness i={witness}" if holds else "rate fails",
         f"osc(a) = {report['osc_total']}",
@@ -143,9 +144,10 @@ def cmd_analyze(args) -> int:
 def cmd_rate_monotone(args) -> int:
     eta = _parse_sampling(args.F)
     E = monotone_uniform_rate(parse_rational(args.eps), eta)
-    top = max(E)
-    report = {"eps": args.eps, "F": args.F, "E": _rate_to_list(E)}
-    _emit(report, args.json, [f"E={{0..{top}}}"])
+    report = {"eps": args.eps, "F": args.F}
+    if args.json:
+        report["E"] = _rate_to_list(E)
+    _emit(report, args.json, [f"E={{0..{E[-1]}}}"])
     return EXIT_OK
 
 

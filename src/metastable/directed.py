@@ -1,15 +1,16 @@
-"""Pointed directed sets and samplings over them.
+"""Samplings over ℕ and their JSON forms.
 
-Two kinds of index set matter in practice: the naturals with their usual
-order, and small finite posets given by explicit tables.  The naturals are
-kept symbolic (never enumerated); every operation that walks them takes an
-explicit support or budget.
+Every net in this package is indexed by the naturals with their usual order
+and anchor 0, so ℕ is the only index set; it stays symbolic (never
+enumerated), and every operation that walks it takes an explicit support or
+budget.
 
-A sampling assigns to each index ``i`` a nonempty finite subset of the tail
+A sampling assigns to each index ``i`` a nonempty finite subset of its tail
 ``{j : j >= i}``.  Samplings are plain data that always have a JSON form:
-either linear over the naturals, ``F(n) = k*n + c`` with integers
-``k, c >= 1`` and windows ``[N, F(N)]`` (strictly increasing with
-``F(N) > N`` by construction), or an explicit table.
+either linear, ``F(n) = k*n + c`` with integers ``k, c >= 1`` and windows
+``[N, F(N)]`` (strictly increasing with ``F(N) > N`` by construction), or
+an explicit table, a finite map from naturals to nonempty subsets of their
+tails, checked once when it is built.
 """
 
 from __future__ import annotations
@@ -17,95 +18,14 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
 from .errors import (
-    AnchorNotLeast,
     MalformedInput,
-    NotDirected,
-    NotPartialOrder,
     NotStrictlyIncreasing,
     SamplingDomainError,
     UnsupportedSampling,
 )
-
-
-@dataclass(frozen=True)
-class DirectedSet:
-    """A pointed directed set: finite with an explicit order table, or ℕ.
-
-    ``elements`` is ``None`` for ℕ (anchor 0, numeric order).  For finite
-    sets the relation is stored as a frozenset of (a, b) pairs meaning
-    a <= b, always containing the reflexive pairs.
-    """
-
-    elements: Optional[tuple] = None
-    relation: Optional[frozenset] = None
-    anchor: object = 0
-
-    @property
-    def is_nat(self) -> bool:
-        return self.elements is None
-
-    def leq(self, a, b) -> bool:
-        if self.is_nat:
-            return a <= b
-        return (a, b) in self.relation
-
-    def tail(self, i) -> frozenset:
-        """The final segment {j : j >= i}; finite sets only."""
-        if self.is_nat:
-            raise ValueError("tail of ℕ is infinite; use an explicit support")
-        return frozenset(j for j in self.elements if self.leq(i, j))
-
-    def contains(self, x) -> bool:
-        if self.is_nat:
-            return isinstance(x, int) and x >= 0
-        return x in self.elements
-
-
-def make_nat() -> DirectedSet:
-    """ℕ with the usual order and anchor 0."""
-    return DirectedSet(elements=None, relation=None, anchor=0)
-
-
-def make_finite_directed(elements, leq_table, anchor) -> DirectedSet:
-    """Validate and build a finite pointed directed set.
-
-    ``leq_table`` is an iterable of (a, b) pairs meaning a <= b; reflexive
-    pairs are added automatically.  Raises NotPartialOrder, NotDirected, or
-    AnchorNotLeast on the corresponding violation.
-    """
-    elems = tuple(elements)
-    if len(set(elems)) != len(elems):
-        raise NotPartialOrder("duplicate elements")
-    known = set(elems)
-    rel = set()
-    for a, b in leq_table:
-        if a not in known or b not in known:
-            raise NotPartialOrder(f"pair ({a!r}, {b!r}) names unknown elements")
-        rel.add((a, b))
-    rel.update((x, x) for x in elems)
-
-    for a, b in list(rel):
-        if (b, a) in rel and a != b:
-            raise NotPartialOrder(f"antisymmetry fails on {a!r}, {b!r}")
-    for a, b in list(rel):
-        for c in elems:
-            if (b, c) in rel and (a, c) not in rel:
-                raise NotPartialOrder(
-                    f"transitivity fails: {a!r} <= {b!r} <= {c!r} but not {a!r} <= {c!r}"
-                )
-    for a in elems:
-        for b in elems:
-            if not any((a, c) in rel and (b, c) in rel for c in elems):
-                raise NotDirected(f"no upper bound for {a!r}, {b!r}")
-    if anchor not in known:
-        raise AnchorNotLeast(f"anchor {anchor!r} not an element")
-    for b in elems:
-        if (anchor, b) not in rel:
-            raise AnchorNotLeast(f"anchor {anchor!r} is not below {b!r}")
-    return DirectedSet(elements=elems, relation=frozenset(rel), anchor=anchor)
 
 
 def _is_integer(x) -> bool:
@@ -122,8 +42,9 @@ class Sampling:
 
     Linear: integers k >= 1 and c >= 1 with F(n) = k*n + c and
     eta_N = [N, F(N)]; F(N) > N and strict growth hold by construction.
-    Explicit: a finite table i -> finite set of indices (``k`` and ``c``
-    stay None).
+    Explicit: a finite table from naturals i to nonempty sets of naturals
+    j >= i (``k`` and ``c`` stay None).  A non-natural key or entry raises
+    ValueError, an empty window or one below its index SamplingDomainError.
     """
 
     k: Optional[int] = None
@@ -134,7 +55,20 @@ class Sampling:
         if self.table is not None:
             if self.k is not None or self.c is not None:
                 raise ValueError("a sampling is kn+c or a table, not both")
-            frozen = {i: tuple(sorted(set(s))) for i, s in self.table.items()}
+            frozen = {}
+            for i, entries in self.table.items():
+                entries = set(entries)
+                if not (_is_natural(i) and all(map(_is_natural, entries))):
+                    raise ValueError("a table maps naturals to sets of "
+                                     f"naturals, got {i!r}: {entries!r}")
+                if not entries:
+                    raise SamplingDomainError(
+                        f"sampling has an empty window at {i}")
+                window = frozen[i] = tuple(sorted(entries))
+                if window[0] < i:
+                    raise SamplingDomainError(
+                        f"the window at {i} reads index {window[0]}, "
+                        f"outside the tail above {i}")
             object.__setattr__(self, "table", frozen)
         elif not (_is_integer(self.k) and _is_integer(self.c)):
             raise ValueError("a sampling needs integers k and c, or a table; "
@@ -161,12 +95,7 @@ class Sampling:
         return self.table[i]
 
     def max_index(self, i) -> int:
-        if self.table is None:
-            return self.f(i)
-        window = self.eta(i)
-        if not window:
-            raise SamplingDomainError(f"sampling has an empty window at {i!r}")
-        return window[-1]
+        return self.f(i) if self.table is None else self.eta(i)[-1]
 
     @property
     def key(self) -> str:
@@ -185,71 +114,12 @@ def affine_sampling(w: int) -> Sampling:
 
 
 def explicit_sampling(table: Mapping) -> Sampling:
-    """A sampling given by an explicit table i -> finite set of indices."""
+    """A sampling given by an explicit table i -> nonempty finite set of
+    indices j >= i."""
     return Sampling(table=table)
 
 
-@dataclass(frozen=True)
-class SamplingReport:
-    """Outcome of validate_sampling; truthy iff every clause held."""
-
-    ok: bool
-    bad_index: object = None
-    reason: str = ""
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def validate_sampling(eta: Sampling, D: DirectedSet,
-                      support: Optional[Iterable] = None) -> SamplingReport:
-    """Check the sampling clauses on a finite support.
-
-    For finite D the support defaults to all elements; for ℕ an explicit
-    support (or an explicit table, whose keys are used) is required.  The
-    report names the first index whose window is empty or escapes the tail.
-    """
-    if support is None:
-        if not D.is_nat:
-            support = D.elements
-        elif eta.table is not None:
-            support = sorted(eta.table)
-        else:
-            raise ValueError("validating over ℕ needs an explicit support")
-    for i in support:
-        try:
-            window = eta.eta(i)
-        except SamplingDomainError:
-            return SamplingReport(False, i, f"no window declared at {i!r}")
-        if len(window) == 0:
-            return SamplingReport(False, i, f"window at {i!r} is empty")
-        for j in window:
-            if not D.contains(j):
-                return SamplingReport(False, i, f"{j!r} not in the directed set")
-            if not D.leq(i, j):
-                return SamplingReport(False, i, f"{j!r} not in the tail above {i!r}")
-    return SamplingReport(True)
-
-
 # -- JSON forms --------------------------------------------------------------
-
-def directed_set_to_json(D: DirectedSet) -> dict:
-    if D.is_nat:
-        return {"elements": "NAT", "anchor": 0}
-    return {
-        "elements": list(D.elements),
-        "leq": sorted([a, b] for (a, b) in D.relation if a != b),
-        "anchor": D.anchor,
-    }
-
-
-def directed_set_from_json(data: dict) -> DirectedSet:
-    if data.get("elements") == "NAT":
-        return make_nat()
-    return make_finite_directed(
-        data["elements"], [tuple(p) for p in data.get("leq", [])], data["anchor"]
-    )
-
 
 def sampling_to_json(eta: Sampling) -> dict:
     if eta.table is not None:

@@ -10,19 +10,7 @@ class MetastableError(Exception):
     """Base class for all package-specific errors."""
 
 
-# -- directed sets and samplings ------------------------------------------
-
-class NotPartialOrder(MetastableError):
-    """The given relation is not reflexive, antisymmetric and transitive."""
-
-
-class NotDirected(MetastableError):
-    """Some pair of elements has no upper bound."""
-
-
-class AnchorNotLeast(MetastableError):
-    """The declared anchor is not below every element."""
-
+# -- samplings -----------------------------------------------------------------
 
 class NotStrictlyIncreasing(MetastableError):
     """A linear sampling kn+c with k < 1 or c < 1: F(N) > N or strict
@@ -31,7 +19,8 @@ class NotStrictlyIncreasing(MetastableError):
 
 class SamplingDomainError(MetastableError):
     """A sampling was queried outside its domain (ℕ, or the support of an
-    explicit table), or an explicit window is empty."""
+    explicit table), or a table has an empty window or one below its
+    index."""
 
 
 # -- rates and oscillation -------------------------------------------------

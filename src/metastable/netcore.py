@@ -78,15 +78,6 @@ Tail = Union[Constant, Periodic]
 MAX_RATE_SIZE = 1 << 20
 
 
-def distance(x: Value, y: Value) -> Fraction:
-    """Metric on values: |x - y| for scalars, sup metric on tuples."""
-    if isinstance(x, tuple) or isinstance(y, tuple):
-        if not (isinstance(x, tuple) and isinstance(y, tuple) and len(x) == len(y)):
-            raise ValueError("points have mismatched dimensions")
-        return max(abs(a - b) for a, b in zip(x, y))
-    return abs(x - y)
-
-
 def _coerce_value(v) -> Value:
     if isinstance(v, (list, tuple)):
         return tuple(map(_coerce_value, v))
@@ -199,22 +190,13 @@ def _window_oscs(seq: SequenceSpec, eta: Sampling,
     consecutive values hold the whole period, so the clamped window has the
     same extremes.  Values are read lazily through a `_CappedSeq` capped at
     the largest index any window reads, so a caller that stops at a witness
-    i has read nothing past max(eta_i).  A table window that is empty or
-    reaches below its own index raises SamplingDomainError before anything
-    is read.
+    i has read nothing past max(eta_i).  An index missing from a table
+    raises SamplingDomainError before anything is read.
     """
     if not indices:
         return
     if eta.table is not None:
         windows = [eta.eta(i) for i in indices]
-        for i, window in zip(indices, windows):
-            if not window:
-                raise SamplingDomainError(
-                    f"sampling has an empty window at {i!r}")
-            if window[0] < i:
-                raise SamplingDomainError(
-                    f"the window at {i!r} reads index {window[0]}, outside "
-                    f"the tail above {i!r}")
         guarded = _CappedSeq(seq, max(window[-1] for window in windows))
         for window in windows:
             yield osc_segment(guarded, window)

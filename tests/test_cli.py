@@ -112,6 +112,9 @@ class TestRate:
                         capsys)
         assert code == 0
         assert "E={0..7}" in out
+        code, out = run(["rate", "monotone", "--eps", "2/5", "--F", "2n+1",
+                         "--json"], capsys)
+        assert code == 0 and json.loads(out)["E"] == list(range(8))
 
     def test_bad_f_spec(self, capsys):
         code = main(["rate", "monotone", "--eps", "1/2", "--F", "n"])
@@ -343,6 +346,21 @@ class TestMalformedInput:
         eta = json.dumps({"sampling": {"2": [0]}})
         err = self.analyze(tmp_path / "s.csv", capsys, F=eta, E="2")
         assert "window at 2 reads index 0" in err
+
+    def test_rate_index_missing_from_table(self, workdir, capsys):
+        eta = json.dumps({"sampling": {"0": [0, 1]}})
+        err = self.analyze(workdir / "s.json", capsys, F=eta, E="0,5")
+        assert "no window at 5" in err
+
+    @pytest.mark.parametrize("table, message", [
+        ({"0": [0, 1], "1": []}, "empty window at 1"),
+        ({"0": [0, 1], "2": [0]}, "window at 2 reads index 0"),
+    ])
+    def test_malformed_table_outside_the_rate(self, workdir, capsys,
+                                              table, message):
+        eta = json.dumps({"sampling": table})
+        err = self.analyze(workdir / "s.json", capsys, F=eta, E="0")
+        assert message in err
 
     def test_rate_file_not_a_list(self, workdir, tmp_path, capsys):
         (tmp_path / "E.json").write_text("5")

@@ -5,76 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metastable import (
-    AnchorNotLeast,
-    NotDirected,
-    NotPartialOrder,
     NotStrictlyIncreasing,
     Sampling,
+    SamplingDomainError,
     affine_sampling,
-    directed_set_from_json,
-    directed_set_to_json,
     explicit_sampling,
-    make_finite_directed,
-    make_nat,
     parse_f_expression,
     sampling_from_json,
     sampling_to_json,
-    validate_sampling,
 )
-
-
-def chain3():
-    return make_finite_directed(
-        ["0", "1", "2"], [("0", "1"), ("1", "2"), ("0", "2")], "0"
-    )
-
-
-class TestDirectedSet:
-    def test_nat(self):
-        nat = make_nat()
-        assert nat.is_nat
-        assert nat.anchor == 0
-        assert nat.leq(3, 7)
-        assert not nat.leq(7, 3)
-        for n in (0, 5, 100):
-            assert nat.leq(nat.anchor, n)
-
-    def test_chain_is_directed(self):
-        assert chain3().leq("0", "2")
-
-    def test_antichain_rejected(self):
-        with pytest.raises(NotDirected):
-            make_finite_directed(["a", "b"], [], "a")
-
-    def test_diamond_ok(self):
-        d = make_finite_directed(
-            ["bot", "x", "y", "top"],
-            [("bot", "x"), ("bot", "y"), ("bot", "top"),
-             ("x", "top"), ("y", "top")],
-            "bot",
-        )
-        assert not d.leq("x", "y") and not d.leq("y", "x")
-        assert d.leq("x", "top") and d.leq("y", "top")
-
-    def test_antisymmetry(self):
-        with pytest.raises(NotPartialOrder):
-            make_finite_directed(["a", "b"], [("a", "b"), ("b", "a")], "a")
-
-    def test_transitivity(self):
-        with pytest.raises(NotPartialOrder):
-            make_finite_directed(
-                ["a", "b", "c"],
-                [("a", "b"), ("b", "c"), ("a", "c"), ("c", "a")], "a",
-            )
-
-    def test_anchor_not_least(self):
-        with pytest.raises(AnchorNotLeast):
-            make_finite_directed(["0", "1"], [("0", "1")], "1")
-
-    def test_json_roundtrip(self):
-        d = chain3()
-        assert directed_set_from_json(directed_set_to_json(d)) == d
-        assert directed_set_from_json(directed_set_to_json(make_nat())).is_nat
 
 
 class TestSampling:
@@ -107,27 +46,30 @@ class TestSampling:
         with pytest.raises(ValueError):
             Sampling()
 
-    def test_validate_explicit_singletons(self):
-        d = chain3()
-        eta = explicit_sampling({e: {e} for e in d.elements})
-        assert validate_sampling(eta, d)
+    @pytest.mark.parametrize("key", ["a", "0", -1, True])
+    def test_non_natural_key_refused(self, key):
+        with pytest.raises(ValueError):
+            explicit_sampling({key: (1,)})
 
-    def test_validate_tail_violation(self):
-        d = chain3()
-        eta = explicit_sampling({"0": {"2"}, "1": {"0"}, "2": {"2"}})
-        report = validate_sampling(eta, d)
-        assert not report
-        assert report.bad_index == "1"
-
-    def test_validate_function_on_support(self):
-        eta = affine_sampling(2)
-        assert validate_sampling(eta, make_nat(), support=range(11))
+    @pytest.mark.parametrize("entry", ["b", -1, True])
+    def test_non_natural_entry_refused(self, entry):
+        with pytest.raises(ValueError):
+            explicit_sampling({0: (0, entry)})
 
     def test_empty_window_rejected(self):
-        d = chain3()
-        eta = explicit_sampling({"0": set(), "1": {"1"}, "2": {"2"}})
-        report = validate_sampling(eta, d)
-        assert not report and report.bad_index == "0"
+        with pytest.raises(SamplingDomainError, match="empty window at 1"):
+            explicit_sampling({0: (0, 1), 1: ()})
+
+    def test_window_below_its_index_refused(self):
+        with pytest.raises(SamplingDomainError,
+                           match="window at 2 reads index 0"):
+            explicit_sampling({0: (0,), 2: (0, 2)})
+
+    def test_missing_index_is_a_lazy_error(self):
+        eta = explicit_sampling({0: (0, 3), 1: (1,)})
+        assert eta.eta(0) == (0, 3) and eta.max_index(0) == 3
+        with pytest.raises(SamplingDomainError, match="no window at 5"):
+            eta.eta(5)
 
     def test_json_roundtrip(self):
         eta = explicit_sampling({0: (0, 1), 1: (1, 3)})
@@ -145,20 +87,18 @@ class TestSampling:
     @given(data=st.one_of(
         st.tuples(st.integers(1, 4), st.integers(1, 5)).map(
             lambda kc: parse_f_expression(f"{kc[0]}n+{kc[1]}")),
-        st.dictionaries(st.integers(0, 12),
-                        st.sets(st.integers(0, 20), max_size=4),
-                        max_size=6).map(explicit_sampling),
+        st.sets(st.integers(0, 12), max_size=6).flatmap(
+            lambda keys: st.fixed_dictionaries({
+                i: st.sets(st.integers(i, i + 8), min_size=1, max_size=4)
+                for i in keys})).map(explicit_sampling),
     ))
     def test_json_roundtrip_is_identity(self, data):
         again = sampling_from_json(json.loads(json.dumps(sampling_to_json(data))))
         assert again == data and again.key == data.key
 
     @settings(max_examples=40)
-    @given(w=st.integers(1, 5), c=st.integers(0, 4), sup=st.integers(0, 20))
-    def test_function_samplings_always_validate(self, w, c, sup):
-        eta = parse_f_expression(f"{w}n+{max(c, 1)}")
-        report = validate_sampling(eta, make_nat(), support=range(sup + 1))
-        assert report
-        for i in range(sup + 1):
-            window = eta.eta(i)
-            assert min(window) >= i and len(window) >= 1
+    @given(k=st.integers(1, 5), c=st.integers(1, 5), i=st.integers(0, 20))
+    def test_linear_windows_are_tail_intervals(self, k, c, i):
+        eta = parse_f_expression(f"{k}n+{c}")
+        assert eta.eta(i) == tuple(range(i, k * i + c + 1))
+        assert eta.max_index(i) > i
