@@ -96,9 +96,16 @@ class TestSampling:
         again = sampling_from_json(json.loads(json.dumps(sampling_to_json(data))))
         assert again == data and again.key == data.key
 
+    def test_validate_function_on_support(self):
+        eta = affine_sampling(2)
+        for i in range(11):
+            assert eta.eta(i) == (i, i + 1, i + 2)
+            assert eta.max_index(i) == i + 2
+
     @settings(max_examples=40)
-    @given(k=st.integers(1, 5), c=st.integers(1, 5), i=st.integers(0, 20))
-    def test_linear_windows_are_tail_intervals(self, k, c, i):
+    @given(k=st.integers(1, 5), c=st.integers(1, 5), sup=st.integers(0, 20))
+    def test_function_samplings_always_validate(self, k, c, sup):
         eta = parse_f_expression(f"{k}n+{c}")
-        assert eta.eta(i) == tuple(range(i, k * i + c + 1))
-        assert eta.max_index(i) > i
+        for i in range(sup + 1):
+            assert eta.eta(i) == tuple(range(i, k * i + c + 1))
+            assert eta.max_index(i) > i
