@@ -136,10 +136,15 @@ def sampling_from_json(data: dict) -> Sampling:
     if "sampling" in data:
         table = data["sampling"]
         if not (isinstance(table, dict) and all(
-                i.isdecimal() and isinstance(w, list) and all(map(_is_natural, w))
-                for i, w in table.items())):
+                isinstance(w, list) and all(map(_is_natural, w))
+                for w in table.values())):
             raise MalformedInput('"sampling" must map natural numbers to lists '
                                  f"of natural numbers, got {table!r}")
+        for i in table:  # one spelling per index: no two keys share a window
+            if not (isinstance(i, str) and _NATURAL_KEY.fullmatch(i)):
+                raise MalformedInput(
+                    f'"sampling" key {i!r} is not a natural number written '
+                    'as "0" or as ASCII digits without a leading zero')
         return explicit_sampling({int(i): tuple(w) for i, w in table.items()})
     spec = data.get("F")
     if isinstance(spec, str):
@@ -155,6 +160,7 @@ def sampling_from_json(data: dict) -> Sampling:
     return affine_sampling(w)
 
 
+_NATURAL_KEY = re.compile(r"0|[1-9][0-9]*")
 _F_EXPRESSION = re.compile(r"(\d*)n(?:\+(\d+))?")
 
 

@@ -20,10 +20,14 @@ lengths.  From max(i, T) on, where T is the tail start and p the period,
 any p consecutive values hold the whole period, so window i is read only up
 to min(ki+c, max(i, T)+p-1): no window reads more than T-i+p values, and
 past T a failing window fails again p indices later, so a witness search
-stops once failures have covered every residue modulo p.  Values are
-compared natively, so rationals stay exact.  Explicit samplings fall back to
-`osc_segment`, the literal definition, which is also the oracle the tests
-hold the kernel to.
+stops once failures have covered every residue modulo p.
+
+Windows compare integer cross-products, a/b <= c/d as a*d <= c*b, over
+each value's own (numerator, denominator) pair, and only a returned result
+becomes a Fraction.  There is no common denominator: the lcm of n coprime
+denominators has about linearly many bits (14 400 for 1..10**4), so scaled
+values would cost time and memory quadratic in n.  `osc_segment`, the
+literal definition, is the oracle the tests hold the kernel to.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import csv
 import io
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -84,6 +88,24 @@ def _coerce_value(v) -> Value:
     return parse_rational(v)
 
 
+def _spread(points: Sequence[tuple]) -> tuple:
+    """Diameter of nonempty points under the sup metric, as a pair; each
+    point is a tuple of (numerator, denominator) pairs, one per coordinate,
+    and a/b < c/d is decided as a*d < c*b (denominators are positive)."""
+    diam_n, diam_d = 0, 1
+    for coords in zip(*points):
+        low_n, low_d = high_n, high_d = coords[0]
+        for n, d in coords:
+            if n * low_d < low_n * d:
+                low_n, low_d = n, d
+            elif n * high_d > high_n * d:
+                high_n, high_d = n, d
+        n, d = high_n * low_d - low_n * high_d, high_d * low_d
+        if n * diam_d > diam_n * d:
+            diam_n, diam_d = n, d
+    return diam_n, diam_d
+
+
 @dataclass(frozen=True)
 class SequenceSpec:
     """A net over ℕ given as a prefix plus a tail declaration.
@@ -96,6 +118,10 @@ class SequenceSpec:
     prefix: tuple
     tail: Tail = Constant()
     bound: Optional[Fraction] = None
+    # derived: p, T = len(prefix) - p, and the values as `pairs` gives them
+    period: int = field(init=False, repr=False, compare=False)
+    tail_start: int = field(init=False, repr=False, compare=False)
+    _pairs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         prefix = tuple(map(_coerce_value, self.prefix))
@@ -103,23 +129,22 @@ class SequenceSpec:
         p = self.tail.period
         if len(prefix) < p or len(prefix) < 1:
             raise ValueError("prefix must cover at least one tail window")
-        dims = {len(v) if isinstance(v, tuple) else 0 for v in prefix}
-        if len(dims) > 1:
-            raise ValueError("mixed scalar/tuple values")
-        diam = self.diameter()
-        bound = diam if self.bound is None else parse_rational(self.bound)
-        if diam > bound:
-            raise ValueError(f"declared bound {bound} smaller than diameter {diam}")
+        object.__setattr__(self, "period", p)
+        object.__setattr__(self, "tail_start", len(prefix) - p)
+        dims = {len(v) if isinstance(v, tuple) else None for v in prefix}
+        if len(dims) > 1 or 0 in dims:
+            raise ValueError("mixed scalar/tuple values, or an empty point")
+        pairs = tuple(
+            tuple(map(Fraction.as_integer_ratio, v)) if isinstance(v, tuple)
+            else (v.as_integer_ratio(),) for v in prefix)
+        object.__setattr__(self, "_pairs", pairs)
+        diam = _spread(pairs)
+        bound = Fraction(*diam) if self.bound is None \
+            else parse_rational(self.bound)
+        if diam[0] * bound.denominator > bound.numerator * diam[1]:
+            raise ValueError(f"declared bound {bound} smaller than "
+                             f"diameter {Fraction(*diam)}")
         object.__setattr__(self, "bound", bound)
-
-    @property
-    def period(self) -> int:
-        return self.tail.period
-
-    @property
-    def tail_start(self) -> int:
-        """First index T from which the periodic window repeats."""
-        return len(self.prefix) - self.period
 
     def value(self, n: int) -> Value:
         if n < 0:
@@ -129,16 +154,29 @@ class SequenceSpec:
         T, p = self.tail_start, self.period
         return self.prefix[T + (n - T) % p]
 
-    def period_values(self) -> tuple:
-        """The values repeated by the tail (the last p prefix entries)."""
-        return self.prefix[self.tail_start:]
+    def pairs(self, lo: int, hi: int, cap: int) -> Sequence[tuple]:
+        """The values at lo..hi, each a tuple of (numerator, denominator)
+        pairs with positive denominators, one pair per coordinate.  The
+        window kernel reads only here; reading past `cap`, the largest
+        index its rate check may look at, is an internal error."""
+        if lo < 0:
+            raise IndexError("negative index")
+        if hi > cap:
+            raise RuntimeError(
+                f"finitarity violation: index {hi} beyond cap {cap}")
+        stored = self._pairs
+        if hi < len(stored):
+            return stored[lo:hi + 1]
+        T, p = self.tail_start, self.period
+        return [stored[j] if j < len(stored) else stored[T + (j - T) % p]
+                for j in range(lo, hi + 1)]
 
     def diameter(self) -> Fraction:
         """Max pairwise distance among all values the sequence ever takes."""
-        return osc_points(self.prefix)
+        return Fraction(*_spread(self._pairs))
 
     def is_constant_tail(self) -> bool:
-        return len(set(self.period_values())) == 1
+        return len(set(self._pairs[self.tail_start:])) == 1
 
 
 def osc_points(points: Sequence[Value]) -> Fraction:
@@ -147,10 +185,7 @@ def osc_points(points: Sequence[Value]) -> Fraction:
     if not pts:
         raise ValueError("empty point set")
     if isinstance(pts[0], tuple):
-        return max(
-            max(p[c] for p in pts) - min(p[c] for p in pts)
-            for c in range(len(pts[0]))
-        )
+        return max(max(coords) - min(coords) for coords in zip(*pts))
     return max(pts) - min(pts)
 
 
@@ -162,107 +197,94 @@ def osc_segment(seq, S: Iterable[int]) -> Fraction:
     return osc_points([seq.value(i) for i in indices])
 
 
-class _CappedSeq:
-    """Evaluation guard asserting the finitarity of rate checks.
-
-    check_rate must never look past max_{i in E} max(eta_i); exceeding the
-    cap is an internal error, not a data error.
-    """
-
-    def __init__(self, seq: SequenceSpec, cap: int):
-        self._seq = seq
-        self.cap = cap
-
-    def value(self, n: int) -> Value:
-        if n > self.cap:
-            raise RuntimeError(
-                f"finitarity violation: index {n} beyond cap {self.cap}"
-            )
-        return self._seq.value(n)
-
-
 def _window_oscs(seq: SequenceSpec, eta: Sampling,
-                 indices: Sequence[int]) -> Iterator[Fraction]:
-    """Exact oscillation of eta_i for each i of the ascending `indices`.
+                 indices: Sequence[int]) -> Iterator[tuple]:
+    """Exact oscillation of eta_i, as a (numerator, denominator) pair, for
+    each i of the ascending `indices`.
 
     A linear window [i, ki+c] is read only up to min(ki+c, max(i,T)+p-1),
     with T the tail start and p the period: from max(i, T) on, p
     consecutive values hold the whole period, so the clamped window has the
-    same extremes.  Values are read lazily through a `_CappedSeq` capped at
-    the largest index any window reads, so a caller that stops at a witness
-    i has read nothing past max(eta_i).  An index missing from a table
-    raises SamplingDomainError before anything is read.
+    same extremes.  Values are read lazily through `SequenceSpec.pairs`,
+    capped at the largest index any window reads, so a caller that stops
+    at a witness i has read nothing past max(eta_i).  An index missing
+    from a table raises SamplingDomainError before anything is read.
     """
     if not indices:
         return
     if eta.table is not None:
         windows = [eta.eta(i) for i in indices]
-        guarded = _CappedSeq(seq, max(window[-1] for window in windows))
+        cap = max(window[-1] for window in windows)
         for window in windows:
-            yield osc_segment(guarded, window)
+            yield _spread([seq.pairs(j, j, cap)[0] for j in window])
         return
     if indices[0] < 0:
         raise SamplingDomainError(f"index {indices[0]} not in ℕ")
     k, c, T, p = eta.k, eta.c, seq.tail_start, seq.period
-    end = indices[-1]
-    read = _CappedSeq(seq, min(k * end + c, max(end, T) + p - 1)).value
-    tuples = isinstance(seq.prefix[0], tuple)
-    # per coordinate, (index, value) pairs of increasing values (low) and
-    # of decreasing values (high): the fronts are the window's extremes.
-    # The value read last stays at the back of both, so dropping indices
-    # below an i < unread never empties them.
-    width = len(seq.prefix[0]) if tuples else 1
-    tracks = [(deque(), deque()) for _ in range(width)]
+    cap = min(k * indices[-1] + c, max(indices[-1], T) + p - 1)
+    # per coordinate, (index, numerator, denominator) of increasing (low)
+    # and of decreasing (high) values: the fronts are the window's extremes
+    tracks = [(deque(), deque()) for _ in seq._pairs[0]]
     unread = 0
     for i in indices:
-        if i >= unread:
-            for low, high in tracks:
-                low.clear()
-                high.clear()
-            unread = i
-        else:
-            for low, high in tracks:
-                while low[0][0] < i:
-                    low.popleft()
-                while high[0][0] < i:
-                    high.popleft()
+        for low, high in tracks:
+            while low and low[0][0] < i:
+                low.popleft()
+            while high and high[0][0] < i:
+                high.popleft()
+        unread = max(unread, i)
         # both terms are nondecreasing in i, so the window slides right
         top = min(k * i + c, max(i, T) + p - 1)
-        for j in range(unread, top + 1):
-            value = read(j)
-            for (low, high), x in zip(tracks, value if tuples else (value,)):
-                while low and low[-1][1] >= x:
+        for j, value in enumerate(seq.pairs(unread, top, cap), unread):
+            for (low, high), (n, d) in zip(tracks, value):
+                while low and low[-1][1] * d >= n * low[-1][2]:
                     low.pop()
-                low.append((j, x))
-                while high and high[-1][1] <= x:
+                low.append((j, n, d))
+                while high and high[-1][1] * d <= n * high[-1][2]:
                     high.pop()
-                high.append((j, x))
+                high.append((j, n, d))
         unread = top + 1
-        yield max([high[0][1] - low[0][1] for low, high in tracks])
+        osc_n, osc_d = 0, 1
+        for low, high in tracks:
+            _, low_n, low_d = low[0]
+            _, high_n, high_d = high[0]
+            n, d = high_n * low_d - low_n * high_d, high_d * low_d
+            if n * osc_d > osc_n * d:
+                osc_n, osc_d = n, d
+        yield osc_n, osc_d
 
 
-def _first_witness(seq: SequenceSpec, eps: Fraction, eta: Sampling,
+def _first_witness(seq: SequenceSpec, eps: tuple, eta: Sampling,
                    indices: Sequence[int]) -> Optional[int]:
     """First i of the ascending `indices` whose window oscillates <= eps.
 
-    For a linear sampling and i >= T, a failing window i fails again at
-    i+p: it sees the same cyclic segment, at least as long.  So the search
-    stops with None once failures past T cover every residue (i-T) mod p
-    that later indices can have: all p of them, or for a range of step s
-    the p/gcd(s, p) of one coset.
+    eps is a (numerator, denominator) pair.  For a linear sampling and
+    i >= T, a failing window i fails again at i+p: it sees the same cyclic
+    segment, at least as long.  So the search stops with None once failures
+    past T cover every residue (i-T) mod p that later indices can have: all
+    p of them, or for a range of step s the p/gcd(s, p) of one coset.
     """
+    eps_n, eps_d = eps
     T, p = seq.tail_start, seq.period
     reachable = p // math.gcd(indices.step, p) \
         if isinstance(indices, range) else p
     failed = set()
-    for i, osc in zip(indices, _window_oscs(seq, eta, indices)):
-        if osc <= eps:
+    for i, (osc_n, osc_d) in zip(indices, _window_oscs(seq, eta, indices)):
+        if osc_n * eps_d <= eps_n * osc_d:
             return i
         if eta.table is None and i >= T:
             failed.add((i - T) % p)
             if len(failed) == reachable:
                 return None
     return None
+
+
+def _eps_pair(eps) -> tuple:
+    """eps as a (numerator, denominator) pair; ValueError below 0."""
+    eps = parse_rational(eps)
+    if eps < 0:
+        raise ValueError(f"epsilon must be >= 0, got {eps}")
+    return eps.as_integer_ratio()
 
 
 def _sorted_rate(E: Iterable[int]) -> Sequence[int]:
@@ -281,10 +303,7 @@ def metastable_witness(seq: SequenceSpec, eps, eta: Sampling,
     Absence is a value, not an error: metastability itself is infinitary
     and only this bounded search is finitary.
     """
-    eps = parse_rational(eps)
-    if eps < 0:
-        raise ValueError(f"epsilon must be >= 0, got {eps}")
-    return _first_witness(seq, eps, eta, range(search_bound + 1))
+    return _first_witness(seq, _eps_pair(eps), eta, range(search_bound + 1))
 
 
 def check_rate(seq: SequenceSpec, eps, eta: Sampling, E: Iterable[int]) -> bool:
@@ -299,7 +318,7 @@ def check_rate(seq: SequenceSpec, eps, eta: Sampling, E: Iterable[int]) -> bool:
 def rate_witness(seq: SequenceSpec, eps, eta: Sampling,
                  E: Iterable[int]) -> Optional[int]:
     """First witness in E, or None; same finitarity contract as check_rate."""
-    return _first_witness(seq, parse_rational(eps), eta, _sorted_rate(E))
+    return _first_witness(seq, _eps_pair(eps), eta, _sorted_rate(E))
 
 
 def monotone_uniform_rate(eps, eta: Sampling) -> range:
@@ -343,7 +362,13 @@ def osc_eta_exact(seq: SequenceSpec, eta: Sampling) -> Fraction:
     """
     domain = sorted(eta.table) if eta.table is not None \
         else range(seq.tail_start + seq.period)
-    return min(_window_oscs(seq, eta, domain))
+    least = None
+    for n, d in _window_oscs(seq, eta, domain):
+        if least is None or n * least[1] < least[0] * d:
+            least = n, d
+    if least is None:
+        raise ValueError("an empty table has no window")
+    return Fraction(*least)
 
 
 def osc_total_exact(seq: SequenceSpec) -> Fraction:
@@ -352,7 +377,7 @@ def osc_total_exact(seq: SequenceSpec) -> Fraction:
     The prefix is irrelevant (the defining quantifier discards every finite
     initial segment); a constant tail gives 0.
     """
-    return osc_points(seq.period_values())
+    return Fraction(*_spread(seq._pairs[seq.tail_start:]))
 
 
 def eps_cauchy_exact(seq: SequenceSpec, eps) -> bool:
@@ -379,7 +404,7 @@ def uniform_rate_audit(family: Iterable[SequenceSpec], eps, eta: Sampling,
     Returns AllPass (passed=True) or the first counterexample in family
     order; an empty family passes vacuously.
     """
-    eps, E = parse_rational(eps), _sorted_rate(E)
+    eps, E = _eps_pair(eps), _sorted_rate(E)
     for idx, seq in enumerate(family):
         if _first_witness(seq, eps, eta, E) is None:
             return AuditResult(False, seq, idx)
@@ -394,7 +419,7 @@ def brute_min_uniform_rate(family: Sequence[SequenceSpec], eps, eta: Sampling,
     0..horizon is at most m, so m is the largest first witness.  Returns
     None when some member has none within the horizon (infeasible).
     """
-    eps, top = parse_rational(eps), 0
+    eps, top = _eps_pair(eps), 0
     for seq in family:
         witness = _first_witness(seq, eps, eta, range(horizon + 1))
         if witness is None:

@@ -440,6 +440,18 @@ class TestMalformedInput:
                            str(tmp_path / "f.json")], capsys)
         assert field in err
 
+    @pytest.mark.parametrize("F, key", [
+        ('{"sampling": {"1": [1], "01": [2]}}', "'01'"),
+        ('{"sampling": {"\u0661": [1]}}', "'\u0661'"),
+    ])
+    def test_non_canonical_sampling_key(self, workdir, capsys, F, key):
+        assert key in self.analyze(workdir / "s.json", capsys, F=F, E="1")
+
+    def test_negative_epsilon(self, workdir, capsys):
+        err = usage_error(["analyze", "--seq", str(workdir / "s.json"),
+                           "--eps", "-1", "--F", "n+1", "--E", "0"], capsys)
+        assert "epsilon must be >= 0, got -1" in err
+
     def test_negative_rate_index(self, workdir, capsys):
         err = usage_error(["analyze", "--seq", str(workdir / "s.json"),
                            "--eps", "1/2", "--F", "n+1", "--E=-3,1"], capsys)

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metastable import (
+    MalformedInput,
     NotStrictlyIncreasing,
     Sampling,
     SamplingDomainError,
@@ -82,6 +83,20 @@ class TestSampling:
         assert parsed.eta(2) == (2, 3, 4, 5)
         assert sampling_to_json(parsed) == {"F": "2n+1"}
         assert sampling_to_json(aff) == {"F": "n+2"}
+
+    @pytest.mark.parametrize("table, key", [
+        ({"1": [1], "01": [2]}, "'01'"),
+        ({"\u0661": [1]}, "'\u0661'"),
+    ])
+    def test_non_canonical_key_refused(self, table, key):
+        # "01" and "1" would name one window, and "\u0661" (Arabic-Indic
+        # one) passes str.isdecimal: neither may stand for an index
+        with pytest.raises(MalformedInput, match=key):
+            sampling_from_json({"sampling": table})
+
+    def test_canonical_keys_accepted(self):
+        eta = sampling_from_json({"sampling": {"0": [0], "10": [10, 12]}})
+        assert eta.table == {0: (0,), 10: (10, 12)}
 
     @settings(max_examples=60)
     @given(data=st.one_of(

@@ -112,6 +112,27 @@ class TestWitness:
         assert metastable_witness(step_sequence(5), F(1, 2), ETA1, 10) == 0
 
 
+class TestNegativeEpsilon:
+    """Every rate entry point refuses eps < 0 with one message; eps = 0
+    stays a valid question."""
+
+    @pytest.mark.parametrize("run", [
+        lambda seq, eps: metastable_witness(seq, eps, ETA1, 3),
+        lambda seq, eps: rate_witness(seq, eps, ETA1, {0, 1}),
+        lambda seq, eps: check_rate(seq, eps, ETA1, {0, 1}),
+        lambda seq, eps: uniform_rate_audit([seq], eps, ETA1, {0, 1}),
+        lambda seq, eps: brute_min_uniform_rate([seq], eps, ETA1, 3),
+    ], ids=["metastable_witness", "rate_witness", "check_rate",
+            "uniform_rate_audit", "brute_min_uniform_rate"])
+    def test_refused_below_zero(self, run):
+        seq = SequenceSpec(prefix=(5,), tail=Constant())
+        for eps in (-1, F(-1, 10 ** 30), "-1/2"):
+            with pytest.raises(ValueError, match="epsilon must be >= 0"):
+                run(seq, eps)
+        answer = run(seq, 0)
+        assert answer is not None and answer is not False
+
+
 class TestCheckRate:
     def test_step_straddle_fails(self):
         for M in (0, 1, 4):
@@ -200,6 +221,11 @@ class TestOscEta:
         s = SequenceSpec(prefix=(0, 1, 5), tail=Constant())
         eta = explicit_sampling({0: (0, 1), 1: (1, 2), 4: (4, 9)})
         assert osc_eta_exact(s, eta) == 0
+
+    def test_empty_table_has_no_minimum(self):
+        s = SequenceSpec(prefix=(0, 1), tail=Constant())
+        with pytest.raises(ValueError, match="empty table"):
+            osc_eta_exact(s, explicit_sampling({}))
 
     def test_harmonic_prefix_exact(self):
         # a search over i <= 10 only bounds the infimum from above; the
@@ -334,9 +360,9 @@ class Spy(SequenceSpec):
         super().__init__(*args, **kwargs)
         object.__setattr__(self, "calls", [])
 
-    def value(self, n):
-        self.calls.append(n)
-        return super().value(n)
+    def pairs(self, lo, hi, cap):
+        self.calls.extend(range(lo, hi + 1))
+        return super().pairs(lo, hi, cap)
 
 
 class TestFinitarity:

@@ -7,8 +7,10 @@ have gaps, sparse rates and rates given as huge ranges.  A spy sequence
 shows what a rate check reads.
 """
 
+import time
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +18,7 @@ from metastable import (
     Constant,
     Periodic,
     SequenceSpec,
+    affine_sampling,
     brute_min_uniform_rate,
     check_rate,
     explicit_sampling,
@@ -26,6 +29,7 @@ from metastable import (
     rate_witness,
     uniform_rate_audit,
 )
+from metastable.netcore import osc_points
 
 # explicit tables cover 0..TABLE_TOP; every generated index stays inside
 TABLE_TOP = 14
@@ -152,9 +156,9 @@ class Spy(SequenceSpec):
         super().__init__(*args, **kwargs)
         object.__setattr__(self, "calls", [])
 
-    def value(self, n):
-        self.calls.append(n)
-        return super().value(n)
+    def pairs(self, lo, hi, cap):
+        self.calls.extend(range(lo, hi + 1))
+        return super().pairs(lo, hi, cap)
 
 
 @settings(max_examples=150, deadline=None)
@@ -197,3 +201,55 @@ def test_huge_range_rate_matches_literal(seq, F_text, eps, start, step):
     # the first index past T, then p windows at most, each clamped
     assert max(spy.calls) <= max(start, seq.tail_start) + \
         seq.period * (step + 1) - 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(seq=sequences())
+def test_pairs_are_the_values(seq):
+    # past the prefix too: two full periods of the tail
+    top = len(seq.prefix) + 2 * seq.period
+    for j, point in enumerate(seq.pairs(0, top, top)):
+        value = seq.value(j)
+        assert all(d > 0 for _, d in point)
+        assert tuple(F(n, d) for n, d in point) == \
+            (value if isinstance(value, tuple) else (value,))
+    assert seq.diameter() == seq.bound == osc_points(seq.prefix)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seq=sequences(), eta=samplings(), i=st.integers(0, TABLE_TOP))
+def test_epsilon_at_an_oscillation_is_its_boundary(seq, eta, i):
+    osc = osc_segment(seq, eta.eta(i))
+    assert rate_witness(seq, osc, eta, {i}) == i
+    below = osc - F(1, 10 ** 30)
+    if below < 0:
+        with pytest.raises(ValueError):
+            rate_witness(seq, below, eta, {i})
+    else:
+        assert rate_witness(seq, below, eta, {i}) is None
+
+
+def best_seconds(fn, repeats=5):
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+def test_harmonic_prefix_costs_no_common_denominator():
+    # the lcm of 1..10**4 has about 14 400 bits: scaling every value to it
+    # costs ten literal diameters or more to build.  A path over Fractions
+    # (the literal diameter, then a scan comparing Fractions) costs about
+    # one to build and five to build and scan, so the bounds allow twice.
+    harmonic = tuple(F(1, n) for n in range(1, 10 ** 4 + 1))
+    reference = best_seconds(lambda: osc_points(harmonic))
+    build = best_seconds(lambda: SequenceSpec(prefix=harmonic))
+    seq = SequenceSpec(prefix=harmonic)
+    # eps = 0: every window [i, i+1] before the constant tail fails
+    scan = best_seconds(
+        lambda: check_rate(seq, 0, affine_sampling(1), range(10 ** 4)))
+    assert rate_witness(seq, 0, affine_sampling(1), range(10 ** 4)) == 9999
+    assert build < 3 * reference
+    assert build + scan < 10 * reference
