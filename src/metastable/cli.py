@@ -109,10 +109,6 @@ def _emit(report: dict, as_json: bool, lines) -> None:
             print(line)
 
 
-def _rate_to_list(E) -> list:
-    return sorted(E)
-
-
 # -- subcommands -----------------------------------------------------------------
 
 
@@ -132,7 +128,7 @@ def cmd_analyze(args) -> int:
         "eps_cauchy": eps_cauchy_exact(seq, eps),
     }
     if args.json:
-        report["E"] = _rate_to_list(E)
+        report["E"] = sorted(E)
     lines = [
         f"rate holds, witness i={witness}" if holds else "rate fails",
         f"osc(a) = {report['osc_total']}",
@@ -146,7 +142,7 @@ def cmd_rate_monotone(args) -> int:
     E = monotone_uniform_rate(parse_rational(args.eps), eta)
     report = {"eps": args.eps, "F": args.F}
     if args.json:
-        report["E"] = _rate_to_list(E)
+        report["E"] = sorted(E)
     _emit(report, args.json, [f"E={{0..{E[-1]}}}"])
     return EXIT_OK
 
@@ -262,7 +258,7 @@ def cmd_dct_search(args) -> int:
     payload = {
         "feasible": True,
         "rates": {
-            format_rational(eps): _rate_to_list(E)
+            format_rational(eps): sorted(E)
             for eps, E in result.rate.per_epsilon.items()
         },
     }
@@ -368,10 +364,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except MetastableError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (MetastableError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -75,11 +75,8 @@ class DirectedFamily:
 
     def tail_data(self) -> Tuple[int, int]:
         """Common tail horizon and period: max of starts, lcm of periods."""
-        T = max(s.tail_start for s in self.slices.values())
-        p = 1
-        for s in self.slices.values():
-            p = p * s.period // math.gcd(p, s.period)
-        return T, p
+        return (max(s.tail_start for s in self.slices.values()),
+                math.lcm(*(s.period for s in self.slices.values())))
 
 
 def integral_sequence(fam: DirectedFamily) -> SequenceSpec:

@@ -24,12 +24,8 @@ def is_approximation(phi: Formula, psi: Formula) -> bool:
     if isinstance(phi, AtomGe):
         return (isinstance(psi, AtomGe) and psi.term == phi.term
                 and psi.bound < phi.bound)
-    if isinstance(phi, And):
-        return (isinstance(psi, And)
-                and is_approximation(phi.left, psi.left)
-                and is_approximation(phi.right, psi.right))
-    if isinstance(phi, Or):
-        return (isinstance(psi, Or)
+    if isinstance(phi, (And, Or)):
+        return (type(psi) is type(phi)
                 and is_approximation(phi.left, psi.left)
                 and is_approximation(phi.right, psi.right))
     if isinstance(phi, Exists):

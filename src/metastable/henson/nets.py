@@ -39,10 +39,7 @@ CONST_PREFIX = "c"
 
 def _pairs(window) -> list:
     indices = sorted(window)
-    proper = list(combinations(indices, 2))
-    if proper:
-        return proper
-    return [(indices[0], indices[0])]
+    return list(combinations(indices, 2)) or [(indices[0], indices[0])]
 
 
 def _window_atom(kind, j: int, jp: int, t, net: str):

@@ -181,8 +181,7 @@ class _Parser:
             self.scope.append((var_tok.text, slot))
             body = self.parse_formula()
             self.scope.pop()
-            kind = "E" if tok.text == "E" else "A"
-            return ("quant", kind, radius, var_tok.text, slot, body, var_tok.pos)
+            return ("quant", tok.text, radius, var_tok.text, slot, body, var_tok.pos)
         if tok.kind == "op" and tok.text == "(":
             self.take()
             left = self.parse_formula()

@@ -109,15 +109,10 @@ def _sat(M: FiniteStructure, phi: Formula, assignment: dict) -> bool:
         points = _quantifier_points(M, phi)
         name = phi.var.name
         shadowed = assignment.get(name, _MISSING)
+        some_or_every = any if isinstance(phi, Exists) else all
         try:
-            if isinstance(phi, Exists):
-                result = any(
-                    _sat(M, phi.body, _with(assignment, name, p)) for p in points
-                )
-            else:
-                result = all(
-                    _sat(M, phi.body, _with(assignment, name, p)) for p in points
-                )
+            result = some_or_every(
+                _sat(M, phi.body, _with(assignment, name, p)) for p in points)
         finally:
             if shadowed is _MISSING:
                 assignment.pop(name, None)

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import lcm
 from operator import sub
 from typing import Mapping, Optional, Tuple
 
 from ..errors import MalformedInput, SortMismatch
-from ..rationals import format_rational, parse_rational
+from ..rationals import format_rational, parse_rational, rational_reader
 from .syntax import REAL, Signature
 
 
@@ -66,6 +67,8 @@ class SortData:
                     raise ValueError("negative metric value")
                 if ints.get((b, a)) != v:
                     raise ValueError(f"metric not symmetric at ({a!r},{b!r})")
+        if len(set(ints.values())) <= 2:
+            return  # 0 and one value c > 0: c <= c + c, no triangle can fail
         rows = [[ints[(a, b)] for b in pts] for a in pts]
         for a, row_a in zip(pts, rows):
             # d(a, c) <= d(a, b) + d(b, c) for all c: max_c of the difference
@@ -155,11 +158,15 @@ class FiniteStructure:
                 args = (args,)
             args = tuple(str(a) for a in args)
             table[args] = self._check_output(decl, value)
-        from itertools import product
-
-        for args in product(*(self.sorts[s].points for s in decl.domain)):
+        domain = dict.fromkeys(
+            product(*(self.sorts[s].points for s in decl.domain)))
+        for args in domain:
             if args not in table:
                 raise SortMismatch(f"{decl.name!r} table missing {args!r}")
+        for args in table:
+            if args not in domain:
+                raise SortMismatch(f"{decl.name!r} table key {args!r} is not "
+                                   f"in the domain {decl.domain!r}")
         return table
 
     # queries ------------------------------------------------------------
@@ -239,7 +246,9 @@ def _labels(value, field: str) -> list:
 
 def structure_from_json(data: dict) -> FiniteStructure:
     """The inverse of structure_to_json; MalformedInput, naming the field,
-    on any other shape.  Each field's shape is checked where it is read."""
+    on any other shape.  Each field's shape is checked where it is read;
+    each distinct value string is parsed once."""
+    read = rational_reader()
     if not isinstance(data, dict):
         raise MalformedInput(
             f"a structure is a JSON object, not a {type(data).__name__}")
@@ -255,7 +264,7 @@ def structure_from_json(data: dict) -> FiniteStructure:
                         for row in matrix)):
             raise MalformedInput(f'"{field}.metric" must be a {len(points)} '
                                  f"by {len(points)} matrix, got {matrix!r}")
-        metric = {(a, b): v for a, row in zip(points, matrix)
+        metric = {(a, b): read(v) for a, row in zip(points, matrix)
                   for b, v in zip(points, row)}
         anchor = _expect(spec.get("anchor"), (str, int), f"{field}.anchor",
                          "a label")
@@ -269,11 +278,14 @@ def structure_from_json(data: dict) -> FiniteStructure:
         domain = tuple(_labels(spec.get("domain"), f"{field}.domain"))
         rng = _expect(spec.get("range"), str, f"{field}.range", "a sort")
         fun_decls[name] = (domain, rng)
+        out = read if rng == REAL else str  # labels are read as text
         if not domain:
-            interps[name] = spec["value"]
+            if "value" not in spec:
+                raise MalformedInput(f'"{field}.value" is missing')
+            interps[name] = out(spec["value"])
         else:
             interps[name] = {
-                tuple(key.split("|")): value
+                tuple(key.split("|")): out(value)
                 for key, value in _expect(spec.get("table"), dict,
                                           f"{field}.table",
                                           "an object").items()

@@ -85,9 +85,6 @@ class Signature:
                 raise SortMismatch(f"{decl.name!r} shadows a built-in")
         self.functions: dict = decls
 
-    def all_sorts(self) -> Tuple[str, ...]:
-        return self.sorts + (REAL,)
-
     def declared(self, name: str) -> Optional[FunctionDecl]:
         return self.functions.get(name)
 
@@ -241,26 +238,24 @@ class Forall:
 Formula = Union[AtomLe, AtomGe, And, Or, Exists, Forall]
 
 
-def conj(formulas) -> Formula:
-    """Right-associated conjunction of a nonempty list."""
+def _fold(connective, formulas, name: str) -> Formula:
     formulas = list(formulas)
     if not formulas:
-        raise ValueError("empty conjunction")
+        raise ValueError(f"empty {name}")
     out = formulas[-1]
     for f in reversed(formulas[:-1]):
-        out = And(f, out)
+        out = connective(f, out)
     return out
+
+
+def conj(formulas) -> Formula:
+    """Right-associated conjunction of a nonempty list."""
+    return _fold(And, formulas, "conjunction")
 
 
 def disj(formulas) -> Formula:
     """Right-associated disjunction of a nonempty list."""
-    formulas = list(formulas)
-    if not formulas:
-        raise ValueError("empty disjunction")
-    out = formulas[-1]
-    for f in reversed(formulas[:-1]):
-        out = Or(f, out)
-    return out
+    return _fold(Or, formulas, "disjunction")
 
 
 def free_vars(phi: Formula) -> frozenset:
@@ -292,9 +287,7 @@ def free_vars(phi: Formula) -> frozenset:
 
 
 def format_term(t: Term) -> str:
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, Const):
+    if isinstance(t, (Var, Const)):
         return t.name
     if isinstance(t, Lit):
         return format_rational(t.value)
@@ -313,10 +306,8 @@ def format_formula(phi: Formula) -> str:
         return f"({format_formula(phi.left)} & {format_formula(phi.right)})"
     if isinstance(phi, Or):
         return f"({format_formula(phi.left)} | {format_formula(phi.right)})"
-    if isinstance(phi, Exists):
-        return (f"E {format_rational(phi.radius)} {phi.var.name}. "
-                f"{format_formula(phi.body)}")
-    if isinstance(phi, Forall):
-        return (f"A {format_rational(phi.radius)} {phi.var.name}. "
+    if isinstance(phi, (Exists, Forall)):
+        return (f"{'E' if isinstance(phi, Exists) else 'A'} "
+                f"{format_rational(phi.radius)} {phi.var.name}. "
                 f"{format_formula(phi.body)}")
     raise TypeError(f"not a formula: {phi!r}")

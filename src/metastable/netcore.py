@@ -48,7 +48,7 @@ from .errors import (
     RateTooLarge,
     SamplingDomainError,
 )
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, parse_rational, rational_reader
 
 Value = Union[Fraction, tuple]
 
@@ -487,31 +487,27 @@ def sequence_to_json(seq: SequenceSpec) -> dict:
     }
 
 
-def _is_json_scalar(v) -> bool:
-    """A "p/q" string, an int or a Fraction (a decimal literal); no float."""
-    return isinstance(v, (str, int, Fraction)) and not isinstance(v, bool)
-
-
-def _is_json_value(v) -> bool:
-    """A scalar, or a nonempty list of scalars (a point under the sup metric)."""
-    return _is_json_scalar(v) or (
-        isinstance(v, list) and bool(v) and all(map(_is_json_scalar, v)))
-
-
 def sequence_from_json(data: dict) -> SequenceSpec:
     """The inverse of sequence_to_json (an older "mode" key is ignored);
-    MalformedInput on any other shape."""
+    MalformedInput on any other shape.  Each distinct value string is
+    parsed once."""
     if not isinstance(data, dict):
         raise MalformedInput(
             f"a sequence is a JSON object, not a {type(data).__name__}")
     prefix = data.get("prefix")
     if not isinstance(prefix, list):
         raise MalformedInput(f'"prefix" must be a list, got {prefix!r}')
+    read = rational_reader()
+    values = []
     for k, v in enumerate(prefix):
-        if not _is_json_value(v):
+        # a scalar, or a nonempty list of scalars (a point under the sup
+        # metric); text that does not parse is left to SequenceSpec
+        coords = tuple(map(read, v if isinstance(v, list) and v else [v]))
+        if not all(isinstance(x, (Fraction, str)) for x in coords):
             raise MalformedInput(
                 f"prefix entry {k} is neither a value nor a list of values: "
                 f"{v!r}")
+        values.append(coords if isinstance(v, list) else coords[0])
     tail_spec = data.get("tail", {"constant": True})
     period = tail_spec.get("period") if isinstance(tail_spec, dict) else None
     if isinstance(tail_spec, dict) and tail_spec.get("constant"):
@@ -523,18 +519,21 @@ def sequence_from_json(data: dict) -> SequenceSpec:
             '"tail" must be {"constant": true} or {"period": p}, '
             f"got {tail_spec!r}")
     bound = data.get("bound")
-    if bound is not None and not _is_json_scalar(bound):
+    if bound is not None and not isinstance(bound := read(bound),
+                                            (Fraction, str)):
         raise MalformedInput(f'"bound" must be a value, got {bound!r}')
-    return SequenceSpec(prefix=tuple(prefix), tail=tail, bound=bound)
+    return SequenceSpec(prefix=tuple(values), tail=tail, bound=bound)
 
 
 def sequence_from_csv(text: str, *, tail: Tail = Constant()) -> SequenceSpec:
     """One value per line becomes the prefix; the tail mode is declared aside.
 
-    Cells are read exactly ("0.1" is 1/10).  Blank lines are skipped; a
-    line holding more than one value raises MalformedInput naming the line.
+    Cells are read exactly ("0.1" is 1/10), each distinct cell once.  Blank
+    lines are skipped; a line holding more than one value raises
+    MalformedInput naming the line.
     """
     values = []
+    read = rational_reader()
     reader = csv.reader(io.StringIO(text))
     try:
         for row in reader:
@@ -543,7 +542,7 @@ def sequence_from_csv(text: str, *, tail: Tail = Constant()) -> SequenceSpec:
                 raise MalformedInput(
                     f"line {reader.line_num}: one value per line, "
                     f"got {len(cells)}")
-            values.extend(cells)
+            values.extend(map(read, cells))
     except csv.Error as exc:
         raise MalformedInput(f"line {reader.line_num}: {exc}") from exc
     return SequenceSpec(prefix=tuple(values), tail=tail)

@@ -44,6 +44,26 @@ def parse_rational(value) -> Fraction:
     raise ValueError(f"not a rational: {value!r}")
 
 
+def rational_reader():
+    """`read` for one document: parse_rational(v), or v itself when that
+    raises, for the constructor given v to refuse after its own earlier
+    checks.  Only strings are memoised (True and 1 stay apart, unhashables
+    go to parse_rational), so each distinct string is parsed once."""
+    memo = {}
+
+    def read(value):
+        q = memo.get(value) if isinstance(value, str) else None
+        if q is None:
+            try:
+                q = parse_rational(value)
+            except ValueError:
+                q = value
+            if isinstance(value, str):
+                memo[value] = q
+        return q
+    return read
+
+
 def format_rational(q: Fraction) -> str:
     q = Fraction(q)
     if q.denominator == 1:

@@ -420,6 +420,11 @@ class TestMalformedInput:
          '"functions.h.domain"'),
         ('{"sorts": {}, "anchor_constants": {"X": ["a"]}}',
          '"anchor_constants.X"'),
+        ('{"sorts": {}, "functions": {"k": {"domain": [], "range": "R"}}}',
+         '"functions.k.value" is missing'),
+        ('{"sorts": {"X": {"points": ["p"], "metric": [["0"]], "anchor": "p"}},'
+         ' "functions": {"f": {"domain": ["X"], "range": "X", '
+         '"table": {"p": "p", "p|p": "p"}}}}', "'f' table key ('p', 'p')"),
     ])
     def test_malformed_structure(self, tmp_path, capsys, doc, field):
         (tmp_path / "m.json").write_text(doc)
@@ -456,6 +461,106 @@ class TestMalformedInput:
         err = usage_error(["analyze", "--seq", str(workdir / "s.json"),
                            "--eps", "1/2", "--F", "n+1", "--E=-3,1"], capsys)
         assert "index -3 not in" in err
+
+
+def refusal(value) -> str:
+    """The error line parse_rational's refusal of value prints."""
+    with pytest.raises(ValueError) as info:
+        ms.parse_rational(value)
+    return f"error: {info.value}\n"
+
+
+class TestMemoisedLoaders:
+    """The loaders parse each distinct value string once per document; the
+    values they return and the refusals they print are those of
+    parse_rational on each entry."""
+
+    TEXTS = st.sampled_from(["0", "1", "-2", "1/2", "2/4", "0.5", " 3/7 ",
+                             "1e2", "-15e-1", "7"])
+    # every value in [1, 2]: any such table is a metric
+    DISTANCES = st.sampled_from(["1", "2", "3/2", "6/4", "1.5", " 2 ", "1e0",
+                                 "15e-1", "7/5"])
+    BAD = [True, [1], {}, "x/0", "1e9999"]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(texts=st.lists(TEXTS | st.integers(-3, 3), min_size=2,
+                          max_size=12), points=st.booleans())
+    def test_sequence_values(self, texts, points):
+        prefix = [texts[i:i + 2] for i in range(0, len(texts) - 1, 2)] \
+            if points else texts
+        expected = tuple(tuple(map(ms.parse_rational, v)) if points
+                         else ms.parse_rational(v) for v in prefix)
+        assert ms.sequence_from_json({"prefix": prefix}).prefix == expected
+        if not points:
+            csv = "\n".join(map(str, texts))
+            assert ms.sequence_from_csv(csv).prefix == expected
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 5), data=st.data())
+    def test_structure_values(self, n, data):
+        pts = [f"p{i}" for i in range(n)]
+        matrix = [["0"] * n for _ in pts]
+        for i in range(n):
+            for j in range(i + 1, n):
+                matrix[i][j] = matrix[j][i] = data.draw(self.DISTANCES)
+        table = {p: data.draw(self.TEXTS) for p in pts}
+        value = data.draw(self.TEXTS | st.integers(-3, 3))
+        M = h.structure_from_json({
+            "sorts": {"X": {"points": pts, "metric": matrix, "anchor": "p0"}},
+            "functions": {"s": {"domain": ["X"], "range": "R", "table": table},
+                          "k": {"domain": [], "range": "R", "value": value}}})
+        assert all(M.metric("X", a, b) == ms.parse_rational(matrix[i][j])
+                   for i, a in enumerate(pts) for j, b in enumerate(pts))
+        assert all(M.interp("s", (p,)) == ms.parse_rational(t)
+                   for p, t in table.items())
+        assert M.interp("k") == ms.parse_rational(value)
+
+    @pytest.mark.parametrize("earlier", ["1", 1, "same"], ids=repr)
+    @pytest.mark.parametrize("bad", BAD, ids=repr)
+    def test_bad_prefix_entry(self, tmp_path, capsys, bad, earlier):
+        # the bad entry at 2; "1", 1 or the same entry read at 0
+        prefix = [bad if earlier == "same" else earlier, "1/2", bad, "1"]
+        k = 0 if earlier == "same" else 2
+        (tmp_path / "s.json").write_text(json.dumps({"prefix": prefix}))
+        err = usage_error(["analyze", "--seq", str(tmp_path / "s.json"),
+                           "--eps", "1/2", "--F", "n+1", "--E", "0"], capsys)
+        if isinstance(bad, (bool, dict)):
+            assert err == (f"error: prefix entry {k} is neither a value nor "
+                           f"a list of values: {bad!r}\n")
+        elif isinstance(bad, list):
+            assert err == "error: mixed scalar/tuple values, or an empty point\n"
+        else:
+            assert err == refusal(bad)
+            (tmp_path / "s.csv").write_text("\n".join(map(str, prefix)))
+            assert usage_error(["analyze", "--seq", str(tmp_path / "s.csv"),
+                                "--eps", "1/2", "--F", "n+1", "--E", "0"],
+                               capsys) == refusal(bad)
+
+    @pytest.mark.parametrize("where", ["cell", "table", "constant"])
+    @pytest.mark.parametrize("earlier", ["1", 1, "same"], ids=repr)
+    @pytest.mark.parametrize("bad", BAD, ids=repr)
+    def test_bad_structure_value(self, tmp_path, capsys, bad, earlier, where):
+        # "1" fills the matrix and the table before the bad value, and cell
+        # (0, 1) holds "1", 1 or the same value
+        matrix = [["0", "1", "1"], ["1", "0", "1"], ["1", "1", "0"]]
+        table = {"p": "1", "q": "1", "r": "1"}
+        value = "1"
+        matrix[0][1] = bad if earlier == "same" else earlier
+        if where == "cell":
+            matrix[1][2] = bad
+        elif where == "table":
+            table["r"] = bad
+        else:
+            value = bad
+        (tmp_path / "m.json").write_text(json.dumps({
+            "sorts": {"X": {"points": ["p", "q", "r"], "metric": matrix,
+                            "anchor": "p"}},
+            "functions": {"s": {"domain": ["X"], "range": "R", "table": table},
+                          "k": {"domain": [], "range": "R", "value": value}}}))
+        err = usage_error(["logic", "check", "--structure",
+                           str(tmp_path / "m.json"), "--formula", "k <= 1"],
+                          capsys)
+        assert err == refusal(bad)
 
 
 class TestExactIngestion:

@@ -443,6 +443,19 @@ class TestStructureValidation:
         with pytest.raises(SortMismatch):
             h.FiniteStructure(sig, {"X": data}, {"a": "p", "s": {("p",): 1}})
 
+    @pytest.mark.parametrize("key", ["p|p", "zz"])
+    def test_table_key_outside_the_domain(self, key):
+        # a key of the wrong arity, or a label that is not a point
+        doc = {"sorts": {"X": {"points": ["p"], "metric": [["0"]],
+                               "anchor": "p"}},
+               "functions": {"f": {"domain": ["X"], "range": "X",
+                                   "table": {"p": "p", key: "p"}}}}
+        with pytest.raises(SortMismatch, match=r"'f' table key \(" +
+                           ", ".join(f"'{a}'" for a in key.split("|"))):
+            h.structure_from_json(doc)
+        del doc["functions"]["f"]["table"][key]
+        assert h.structure_from_json(doc).interp("f", ("p",)) == "p"
+
     def test_anchor_constant_must_denote_anchor(self):
         sig = h.Signature(sorts=("X",), anchors={"X": "a"})
         data = h.discrete_sort(["p", "q"], anchor="p")
@@ -537,6 +550,31 @@ class TestSortKinds:
         with pytest.raises(ValueError, match=r"fails at \('p','r','s'\)"):
             h.SortData(pts, table, "p")
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 6), values=st.lists(
+        st.sampled_from([F(1), F(2), F(3), F(1, 2), F(3, 2), F(5, 3)]),
+        min_size=1, max_size=2, unique=True), seed=st.integers(0, 10**6))
+    def test_table_check_matches_literal_triangles(self, n, values, seed):
+        # one off-diagonal value c (c <= c + c) or two, such as {1, 3}
+        rng = random.Random(seed)
+        pts = tuple(f"p{i}" for i in range(n))
+        d = {(a, a): F(0) for a in pts}
+        for i, a in enumerate(pts):
+            for b in pts[i + 1:]:
+                d[(a, b)] = d[(b, a)] = rng.choice(values)
+        witness = next(((a, b, c) for a in pts for b in pts for c in pts
+                        if d[(a, c)] > d[(a, b)] + d[(b, c)]), None)
+        if len(set(d.values())) <= 2:
+            assert witness is None
+        if witness is None:
+            assert h.SortData(pts, d, "p0").metric == d
+        else:
+            a, b, c = witness
+            with pytest.raises(ValueError) as info:
+                h.SortData(pts, d, "p0")
+            assert str(info.value) == \
+                f"triangle inequality fails at ({a!r},{b!r},{c!r})"
+
     def test_line_coordinates_distinct(self):
         with pytest.raises(ValueError):
             h.line_sort({"p": 1, "q": F(2, 2)})
@@ -556,6 +594,18 @@ class TestSortKinds:
         M = h.structure_from_json(doc)
         assert time.perf_counter() - start < 0.5
         assert M.metric("X", "p3", "p59") == F(59 * 59 - 9, 7)
+
+    def test_load_one_value_tables(self):
+        # every discrete sort is written as such a table; at 240 points an
+        # O(n^3) triangle check alone takes about a second
+        for n in (60, 240):
+            data = h.discrete_sort([f"p{i}" for i in range(n)])
+            doc = json.loads(json.dumps(h.structure_to_json(
+                h.FiniteStructure(h.Signature(sorts=("X",)), {"X": data}))))
+            start = time.perf_counter()
+            M = h.structure_from_json(doc)
+            assert time.perf_counter() - start < 0.5
+            assert M.metric("X", "p3", f"p{n - 1}") == 1
 
     @pytest.mark.parametrize("kind", range(3))
     def test_assignment_to_a_non_point(self, kind):
