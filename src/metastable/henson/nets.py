@@ -18,12 +18,12 @@ from ..directed import Sampling
 from ..errors import EmptyRate
 from ..netcore import SequenceSpec
 from ..rationals import parse_rational
+from .approx import weak_negation
 from .structure import FiniteStructure, discrete_sort
 from .syntax import (
     REAL,
     METRIC,
     App,
-    AtomGe,
     AtomLe,
     Const,
     Formula,
@@ -42,25 +42,23 @@ def _pairs(window) -> list:
     return list(combinations(indices, 2)) or [(indices[0], indices[0])]
 
 
-def _window_atom(kind, j: int, jp: int, t, net: str):
+def _window_atom(j: int, jp: int, t, net: str):
     sj = App(net, (Const(f"{CONST_PREFIX}{j}", DIRECTED_SORT),), REAL)
     sjp = App(net, (Const(f"{CONST_PREFIX}{jp}", DIRECTED_SORT),), REAL)
     gap = App(METRIC, (sj, sjp), REAL)
-    return kind(gap, parse_rational(t))
+    return AtomLe(gap, parse_rational(t))
 
 
 def xi_formula(eta: Sampling, i: int, t, net: str = NET_SYMBOL) -> Formula:
     """Conjunction asserting all pairwise gaps within eta_i are <= t."""
     return conj([
-        _window_atom(AtomLe, j, jp, t, net) for j, jp in _pairs(eta.eta(i))
+        _window_atom(j, jp, t, net) for j, jp in _pairs(eta.eta(i))
     ])
 
 
 def wneg_xi(eta: Sampling, i: int, t, net: str = NET_SYMBOL) -> Formula:
     """Disjunction asserting some pairwise gap within eta_i is >= t."""
-    return disj([
-        _window_atom(AtomGe, j, jp, t, net) for j, jp in _pairs(eta.eta(i))
-    ])
+    return weak_negation(xi_formula(eta, i, t, net))
 
 
 def xi_E(eta: Sampling, E: Iterable[int], t, net: str = NET_SYMBOL) -> Formula:

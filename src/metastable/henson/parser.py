@@ -11,11 +11,12 @@ Grammar (UTF-8 text, whitespace-insensitive):
     term     := ident | rational | ident "(" term {"," term} ")"
     rational := integer | integer "/" positive-integer
 
-Built-in function symbols: d, add, sub, mul, abs, min, max.  "E" and "A"
-are reserved words.  Identifiers resolve in order: bound variable, declared
-constant, free variable.  Variable sorts are inferred from use (function
-domains and metric applications); anything still undetermined defaults to
-the signature's unique non-real sort.
+Built-in function symbols: d, add, sub, mul, abs, min, max; d takes
+exactly two arguments.  "E" and "A" are reserved words.  Identifiers resolve
+in order: bound variable, declared constant, free variable.  Variable sorts
+are inferred from use (function domains and metric applications) once the
+whole text has parsed; anything still undetermined defaults to the
+signature's unique non-real sort.
 """
 
 from __future__ import annotations
@@ -79,42 +80,22 @@ def _tokenize(text: str) -> List[_Tok]:
     return out
 
 
-# -- raw trees with unresolved identifiers -------------------------------------
-
-@dataclass(frozen=True)
-class _RIdent:
-    name: str
-    slot: int
-
-
-@dataclass(frozen=True)
-class _RLit:
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class _RApp:
-    func: str
-    args: tuple
-    pos: int
-
-
-@dataclass(frozen=True)
-class _RConst:
-    name: str
-    sort: str
-
-
 class _Parser:
+    """Recursive descent in which each grammar rule returns a builder: a
+    zero-argument closure that makes the typed node once the variable sorts
+    are solved.  A term also returns its handle: a sort name, or the index
+    of the inference slot of a variable."""
+
     def __init__(self, text: str, signature: Signature):
         self.tokens = _tokenize(text)
         self.i = 0
         self.sig = signature
         # one inference slot per free-variable name or per binder
         self.slots: List[Optional[str]] = []
-        self.eq_constraints: List[Tuple[int, int]] = []
         self.free_slots: dict = {}
         self.scope: List[Tuple[str, int]] = []
+        # (symbol, argument handles, position), in the order applications close
+        self.constraints: List[Tuple[str, list, int]] = []
 
     # token plumbing ----------------------------------------------------
 
@@ -152,11 +133,6 @@ class _Parser:
         self.slots.append(None)
         return len(self.slots) - 1
 
-    def slot_for_free(self, name: str) -> int:
-        if name not in self.free_slots:
-            self.free_slots[name] = self.new_slot()
-        return self.free_slots[name]
-
     def assign(self, slot: int, sort: str, pos: int):
         if self.slots[slot] is None:
             self.slots[slot] = sort
@@ -177,11 +153,12 @@ class _Parser:
             if var_tok.kind != "ident" or var_tok.text in _RESERVED:
                 raise FormulaSyntaxError("expected a variable name", var_tok.pos)
             self.expect_op(".")
-            slot = self.new_slot()
-            self.scope.append((var_tok.text, slot))
+            name, slot = var_tok.text, self.new_slot()
+            self.scope.append((name, slot))
             body = self.parse_formula()
             self.scope.pop()
-            return ("quant", tok.text, radius, var_tok.text, slot, body, var_tok.pos)
+            node = Exists if tok.text == "E" else Forall
+            return lambda: node(radius, Var(name, self.slots[slot]), body())
         if tok.kind == "op" and tok.text == "(":
             self.take()
             left = self.parse_formula()
@@ -190,21 +167,21 @@ class _Parser:
                 raise FormulaSyntaxError("expected '&' or '|'", op.pos)
             right = self.parse_formula()
             self.expect_op(")")
-            return ("conn", op.text, left, right)
-        return self.parse_atom()
-
-    def parse_atom(self):
-        term = self.parse_term()
+            node = And if op.text == "&" else Or
+            return lambda: node(left(), right())
+        _, term = self.parse_term()
         op = self.take()
         if op.kind != "op" or op.text not in ("<=", ">="):
             raise FormulaSyntaxError("expected '<=' or '>='", op.pos)
         bound = self.parse_rational()
-        return ("atom", op.text, term, bound, op.pos)
+        node = AtomLe if op.text == "<=" else AtomGe
+        return lambda: node(term(), bound)
 
     def parse_term(self):
         tok = self.peek()
         if tok.kind == "num":
-            return _RLit(self.parse_rational())
+            value = self.parse_rational()
+            return REAL, lambda: Lit(value)
         if tok.kind != "ident" or tok.text in _RESERVED:
             raise FormulaSyntaxError("expected a term", tok.pos)
         self.take()
@@ -216,72 +193,52 @@ class _Parser:
                 self.take()
                 args.append(self.parse_term())
             self.expect_op(")")
-            if name != METRIC and name not in REAL_BUILTINS \
-                    and self.sig.declared(name) is None:
+            decl = self.sig.declared(name)
+            if decl is None and name != METRIC and name not in REAL_BUILTINS:
                 raise UnknownSymbol(f"function {name!r} not in the signature")
-            return _RApp(name, tuple(args), tok.pos)
+            self.constraints.append((name, [h for h, _ in args], tok.pos))
+            builders = [b for _, b in args]
+            return (REAL if decl is None else decl.range,
+                    lambda: apply(self.sig, name, *(b() for b in builders)))
         for scoped_name, slot in reversed(self.scope):
             if scoped_name == name:
-                return _RIdent(name, slot)
-        sort = self.sig.constant_sort(name)
-        if sort is not None:
-            return _RConst(name, sort)
-        return _RIdent(name, self.slot_for_free(name))
+                break
+        else:
+            sort = self.sig.constant_sort(name)
+            if sort is not None:
+                return sort, lambda: Const(name, sort)
+            if name not in self.free_slots:
+                self.free_slots[name] = self.new_slot()
+            slot = self.free_slots[name]
+        return slot, lambda: Var(name, self.slots[slot])
 
     # sort inference -------------------------------------------------------
 
-    def term_sort(self, t) -> Optional[str]:
-        if isinstance(t, _RLit):
-            return REAL
-        if isinstance(t, _RConst):
-            return t.sort
-        if isinstance(t, _RIdent):
-            return self.slots[t.slot]
-        if t.func == METRIC or t.func in REAL_BUILTINS:
-            return REAL
-        return self.sig.declared(t.func).range
-
-    def collect_constraints(self, t):
-        if isinstance(t, (_RLit, _RConst, _RIdent)):
-            return
-        for a in t.args:
-            self.collect_constraints(a)
-        if t.func in REAL_BUILTINS:
-            for a in t.args:
-                if isinstance(a, _RIdent):
-                    self.assign(a.slot, REAL, t.pos)
-        elif t.func == METRIC:
-            a, b = t.args
-            sa, sb = self.term_sort(a), self.term_sort(b)
-            if sa is not None and isinstance(b, _RIdent):
-                self.assign(b.slot, sa, t.pos)
-            elif sb is not None and isinstance(a, _RIdent):
-                self.assign(a.slot, sb, t.pos)
-            elif isinstance(a, _RIdent) and isinstance(b, _RIdent):
-                self.eq_constraints.append((a.slot, b.slot))
-        else:
-            decl = self.sig.declared(t.func)
-            for a, sort in zip(t.args, decl.domain):
-                if isinstance(a, _RIdent):
-                    self.assign(a.slot, sort, t.pos)
-
-    def formula_terms(self, node):
-        kind = node[0]
-        if kind == "atom":
-            yield node[2]
-        elif kind == "conn":
-            yield from self.formula_terms(node[2])
-            yield from self.formula_terms(node[3])
-        else:
-            yield from self.formula_terms(node[5])
-
-    def solve_sorts(self, root):
-        for t in self.formula_terms(root):
-            self.collect_constraints(t)
+    def solve_sorts(self):
+        eq_constraints = []
+        for func, args, pos in self.constraints:
+            if func == METRIC:
+                if len(args) != 2:
+                    raise SortMismatch("d takes two arguments")
+                a, b = args
+                sa, sb = (self.slots[h] if isinstance(h, int) else h
+                          for h in args)
+                if sa is not None and isinstance(b, int):
+                    self.assign(b, sa, pos)
+                elif sb is not None and isinstance(a, int):
+                    self.assign(a, sb, pos)
+                elif isinstance(a, int) and isinstance(b, int):
+                    eq_constraints.append((a, b))
+                continue
+            domain = ((REAL,) * len(args) if func in REAL_BUILTINS
+                      else self.sig.declared(func).domain)
+            for handle, sort in zip(args, domain):
+                if isinstance(handle, int):
+                    self.assign(handle, sort, pos)
         changed = True
         while changed:
             changed = False
-            for a, b in self.eq_constraints:
+            for a, b in eq_constraints:
                 if self.slots[a] is not None and self.slots[b] is None:
                     self.slots[b] = self.slots[a]
                     changed = True
@@ -301,43 +258,13 @@ class _Parser:
                     )
                 self.slots[idx] = default
 
-    # typed construction -----------------------------------------------------
-
-    def build_term(self, t, names):
-        if isinstance(t, _RLit):
-            return Lit(t.value)
-        if isinstance(t, _RConst):
-            return Const(t.name, t.sort)
-        if isinstance(t, _RIdent):
-            return Var(names.get(t.slot, t.name), self.slots[t.slot])
-        args = tuple(self.build_term(a, names) for a in t.args)
-        return apply(self.sig, t.func, *args)
-
-    def build_formula(self, node, names) -> Formula:
-        kind = node[0]
-        if kind == "atom":
-            _, op, term, bound, _pos = node
-            typed = self.build_term(term, names)
-            return AtomLe(typed, bound) if op == "<=" else AtomGe(typed, bound)
-        if kind == "conn":
-            _, op, left, right = node
-            l = self.build_formula(left, names)
-            r = self.build_formula(right, names)
-            return And(l, r) if op == "&" else Or(l, r)
-        _, q, radius, name, slot, body, _pos = node
-        names = dict(names)
-        names[slot] = name
-        var = Var(name, self.slots[slot])
-        inner = self.build_formula(body, names)
-        return Exists(radius, var, inner) if q == "E" else Forall(radius, var, inner)
-
 
 def parse_formula(text: str, signature: Signature) -> Formula:
     """Parse concrete syntax into a sort-checked formula tree."""
     parser = _Parser(text, signature)
-    root = parser.parse_formula()
+    build = parser.parse_formula()
     end = parser.take()
     if end.kind != "end":
         raise FormulaSyntaxError("trailing input", end.pos)
-    parser.solve_sorts(root)
-    return parser.build_formula(root, {})
+    parser.solve_sorts()
+    return build()

@@ -219,6 +219,10 @@ def structure_to_json(M: FiniteStructure) -> dict:
             entry["value"] = (format_rational(interp) if decl.range == REAL
                               else interp)
         else:
+            bad = [a for args in interp for a in args if "|" in a]
+            if bad:
+                raise ValueError(f"cannot write {name!r}: its argument label "
+                                 f"{bad[0]!r} contains '|'")
             entry["table"] = {
                 "|".join(args): (format_rational(v) if decl.range == REAL else v)
                 for args, v in interp.items()

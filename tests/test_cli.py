@@ -163,6 +163,12 @@ class TestLogic:
         assert code == 0
         assert out.strip() == "(d(x, a) <= 1 & d(x, a) >= 1)"
 
+    def test_metric_arity_exit_2(self, workdir, capsys):
+        code = main(["logic", "check", "--structure", str(workdir / "m.json"),
+                     "--formula", "d(x) <= 1"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: d takes two arguments\n"
+
     def test_parse_error_exit_2(self, workdir, capsys):
         code = main(["logic", "check", "--structure", str(workdir / "m.json"),
                      "--formula", "d(x, a) <="])

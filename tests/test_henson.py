@@ -11,6 +11,7 @@ import metastable.henson as h
 from metastable import (
     EmptyRate,
     FormulaSyntaxError,
+    MetastableError,
     NonpositiveDelta,
     NonpositiveRadius,
     RealQuantifier,
@@ -36,6 +37,75 @@ def two_point_structure(dist=F(1)):
     sig = one_sort_signature()
     data = h.line_sort({"pa": 0, "pb": dist}, anchor="pa")
     return sig, h.FiniteStructure(sig, {"X": data}, {"a": "pa", "b": "pb"})
+
+
+def two_sort_signature():
+    return h.Signature(sorts=("X", "Y"),
+                       functions={"f": (("X",), "Y"), "g": (("Y",), "R"),
+                                  "h": (("X", "Y"), "R")},
+                       constants={"a": "X", "b": "Y"})
+
+
+def real_app(func, *args):
+    return h.App(func, args, h.REAL)
+
+
+xX, xY, yY = h.Var("x", "X"), h.Var("x", "Y"), h.Var("y", "Y")
+aX, bY = h.Const("a", "X"), h.Const("b", "Y")
+NO_DEFAULT = ("cannot infer a variable sort; the signature has no unique "
+              "non-real sort")
+
+# parsed trees and refusals over two_sort_signature(); the refusals pin the
+# order in which syntax, symbols, sorts and applications are checked
+TWO_SORT_TREES = [
+    # a free variable typed by a later atom
+    ("(d(x, x) <= 1 & h(x, b) >= 0)",
+     h.And(h.AtomLe(real_app("d", xX, xX), 1),
+           h.AtomGe(real_app("h", xX, bY), 0))),
+    # d(x, y) resolved by a later use
+    ("(d(x, y) <= 1 & g(y) >= 0)",
+     h.And(h.AtomLe(real_app("d", xY, yY), 1),
+           h.AtomGe(real_app("g", yY), 0))),
+    # a binder shadowing a free variable of another sort
+    ("(g(x) <= 1 & E 1 x. h(x, b) <= 1)",
+     h.And(h.AtomLe(real_app("g", xY), 1),
+           h.Exists(1, xX, h.AtomLe(real_app("h", xX, bY), 1)))),
+    # the constant a, then a bound variable named a
+    ("(h(a, b) <= 0 & E 1 a. g(a) <= 1)",
+     h.And(h.AtomLe(real_app("h", aX, bY), 0),
+           h.Exists(1, h.Var("a", "Y"),
+                    h.AtomLe(real_app("g", h.Var("a", "Y")), 1)))),
+    # a function's range types the other side of d
+    ("E 1 x. d(f(x), y) <= 1",
+     h.Exists(1, xX, h.AtomLe(real_app("d", h.App("f", (xX,), "Y"), yY), 1))),
+    ("add(x, g(b)) >= 1/2",
+     h.AtomGe(real_app("add", h.Var("x", h.REAL), real_app("g", bY)),
+              F(1, 2))),
+]
+
+TWO_SORT_REFUSALS = [
+    ("((d(x, y) <= 1 & g(y) >= 0) & h(x, b) <= 1)", SortMismatch,
+     "metric applied across different sorts"),
+    ("(g(x) <= 1 & h(x, b) <= 1)", SortMismatch,
+     "variable used at sorts 'Y' and 'X' (near position 13)"),
+    ("d(x, y) <= 1", SortMismatch, NO_DEFAULT),
+    ("d(x, x) <= 1", SortMismatch, NO_DEFAULT),
+    ("h(x) <= 1", SortMismatch, "h takes 2 arguments, got 1"),
+    # sorts are solved before any application is checked
+    ("f(x, y) <= 1", SortMismatch, NO_DEFAULT),
+    ("d(x) <= 1", SortMismatch, "d takes two arguments"),
+    ("d(a, b, a) <= 1", SortMismatch, "d takes two arguments"),
+    ("(d(x) <= 1 & g(a) <= 1)", SortMismatch, "d takes two arguments"),
+    # constraints are taken in the order their applications close
+    ("(g(x) <= 1 & (h(x, b) <= 1 & d(y) <= 1))", SortMismatch,
+     "variable used at sorts 'Y' and 'X' (near position 14)"),
+    ("g(b) <= 1 )", FormulaSyntaxError, "trailing input (at position 10)"),
+    # the end of input is checked before sorts
+    ("(g(x) <= 1 & h(x, b) <= 1) )", FormulaSyntaxError,
+     "trailing input (at position 27)"),
+    # an unknown symbol is refused where its application closes
+    ("k(x) <= 1 )", UnknownSymbol, "function 'k' not in the signature"),
+]
 
 
 class TestParser:
@@ -94,6 +164,16 @@ class TestParser:
         phi = random_formula(rng, M.signature)
         text = h.format_formula(phi)
         assert h.parse_formula(text, M.signature) == phi
+
+    @pytest.mark.parametrize("text,tree", TWO_SORT_TREES)
+    def test_two_sort_inference(self, text, tree):
+        assert h.parse_formula(text, two_sort_signature()) == tree
+
+    @pytest.mark.parametrize("text,cls,message", TWO_SORT_REFUSALS)
+    def test_two_sort_refusals(self, text, cls, message):
+        with pytest.raises(MetastableError) as err:
+            h.parse_formula(text, two_sort_signature())
+        assert type(err.value) is cls and str(err.value) == message
 
 
 class TestEvalTerm:
@@ -455,6 +535,24 @@ class TestStructureValidation:
             h.structure_from_json(doc)
         del doc["functions"]["f"]["table"][key]
         assert h.structure_from_json(doc).interp("f", ("p",)) == "p"
+
+    def test_bar_in_an_argument_label(self):
+        # table keys join argument labels with "|", so such a label could
+        # not be read back
+        sig = h.Signature(sorts=("X",), functions={"f": (("X",), "X")},
+                          constants={"e": "X"})
+        data = h.discrete_sort(["a|b", "c"], anchor="c")
+        M = h.FiniteStructure(sig, {"X": data}, {
+            "e": "a|b", "f": {("a|b",): "c", ("c",): "c"}})
+        with pytest.raises(ValueError,
+                           match=r"^cannot write 'f': .* 'a\|b' contains"):
+            h.structure_to_json(M)
+        # a label that no table key holds is written and read back
+        sig = h.Signature(sorts=("X",), constants={"e": "X"})
+        M = h.FiniteStructure(sig, {"X": data}, {"e": "a|b"})
+        again = h.structure_from_json(h.structure_to_json(M))
+        assert again.points("X") == ("a|b", "c")
+        assert again.interp("e", ()) == "a|b"
 
     def test_anchor_constant_must_denote_anchor(self):
         sig = h.Signature(sorts=("X",), anchors={"X": "a"})
