@@ -236,24 +236,29 @@ def cmd_dct_check(args) -> int:
 def cmd_dct_search(args) -> int:
     if args.cls != "monotone":
         raise MetastableError(f"unknown class {args.cls!r}")
+    if args.count < 0:
+        raise ValueError(f"--count must be >= 0, got {args.count}")
     eta = _parse_sampling(args.F)
     grid = [parse_rational(e) for e in args.eps.split(",")]
     seed = args.seed if args.seed is not None else int(
         os.environ.get("METASTABLE_SEED", "0")
     )
-    families = monotone_slice_class(eta, grid, args.count, seed,
-                                    n_omega=args.omega)
+    # first: a grid too fine for MAX_RATE_SIZE is refused before any build
     slice_rate = RateSpec(per_epsilon={
         eps: monotone_uniform_rate(eps, eta) for eps in grid
     })
+    families = monotone_slice_class(eta, grid, args.count, seed,
+                                    n_omega=args.omega)
     result = dct_mod.metastable_dct_search(
         families, r=0, s=1, eta=eta, slice_rate=slice_rate,
         horizon=args.horizon,
     )
     if not result.feasible:
         bad = [format_rational(e) for e in result.infeasible]
+        reason = "no rate exists" if args.horizon is None \
+            else f"infeasible within horizon {args.horizon}"
         _emit({"feasible": False, "infeasible_eps": bad}, args.json,
-              [f"infeasible within horizon {args.horizon}: eps {', '.join(bad)}"])
+              [f"{reason}: eps {', '.join(bad)}"])
         return EXIT_FAIL
     payload = {
         "feasible": True,
@@ -351,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     dsearch.add_argument("--count", type=int, default=50,
                          help="random families beyond the adversarial core")
     dsearch.add_argument("--omega", type=int, default=2)
-    dsearch.add_argument("--horizon", type=int, default=64)
+    dsearch.add_argument("--horizon", type=int, help="optional search cap")
     dsearch.add_argument("--seed", type=int)
     dsearch.add_argument("--json", action="store_true")
     dsearch.set_defaults(func=cmd_dct_search)

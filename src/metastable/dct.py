@@ -7,7 +7,7 @@ combination of sequences sharing a tail horizon and period is periodic with
 the same data; that keeps both sides of the oscillation inequality exact.
 
 The metastable rate search is the empirical, desk-scale counterpart of the
-compactness argument: given a slice-level rate it brute-forces minimal
+compactness argument: given a slice-level rate it computes the minimal
 prefix rates for the integral sequences of a finitely generated class and
 reports infeasibility instead of truncating.
 """
@@ -22,7 +22,8 @@ from typing import Iterable, Mapping, Optional, Tuple
 from .directed import Sampling
 from .errors import IncoherentTails, MalformedInput, PreconditionViolated
 from .measure import MeasureStructure, measure_from_json, measure_to_json
-from .netcore import (
+# check_rate and brute_min_uniform_rate stay importable: bench/ wraps them
+from .netcore import (  # noqa: F401
     Constant,
     Periodic,
     RateSpec,
@@ -33,6 +34,7 @@ from .netcore import (
     sequence_from_json,
     sequence_to_json,
 )
+from .netcore import _eps_pair, _grid_witnesses, _search_range, _sorted_rate
 from .rationals import format_rational, parse_rational
 
 
@@ -58,7 +60,7 @@ class DirectedFamily:
             if any(isinstance(v, tuple) for v in s.prefix):
                 raise IncoherentTails(f"slice at {w!r} must be scalar-valued")
         norm = self.norm_phi
-        actual = max(self._slice_norm(s) for s in slices.values())
+        actual = max(max(max(s.prefix), -min(s.prefix)) for s in slices.values())
         if norm is None:
             norm = actual
         else:
@@ -69,10 +71,6 @@ class DirectedFamily:
                 )
         object.__setattr__(self, "norm_phi", norm)
 
-    @staticmethod
-    def _slice_norm(s: SequenceSpec) -> Fraction:
-        return max(abs(v) for v in s.prefix)
-
     def tail_data(self) -> Tuple[int, int]:
         """Common tail horizon and period: max of starts, lcm of periods."""
         return (max(s.tail_start for s in self.slices.values()),
@@ -82,12 +80,20 @@ class DirectedFamily:
 def integral_sequence(fam: DirectedFamily) -> SequenceSpec:
     """The real-valued sequence j -> I(phi_j), tail structure inherited."""
     T, p = fam.tail_data()
-    weights = fam.measure.weights
-    values = [
-        sum((fam.slices[w].value(j) * weights[w] for w in fam.measure.omega),
-            Fraction(0))
-        for j in range(T + p)
-    ]
+    merged = {}  # equal slices are summed once, with their weights added
+    for w in fam.measure.omega:
+        s = fam.slices[w]
+        entry = merged.setdefault((s._pairs, s.period), [s, 0])
+        entry[1] += fam.measure.weights[w]
+    terms = [(s.pairs(0, T + p - 1, T + p), *weight.as_integer_ratio())
+             for s, weight in merged.values()]
+    values = []
+    for j in range(T + p):
+        num, den = 0, 1
+        for column, a, b in terms:
+            (n, d), = column[j]
+            num, den = num * b * d + a * n * den, den * b * d
+        values.append(Fraction(num, den))
     tail = Constant() if p == 1 else Periodic(p)
     return SequenceSpec(prefix=tuple(values), tail=tail)
 
@@ -118,11 +124,11 @@ def dct_inequality_check(fam: DirectedFamily) -> DctCheck:
 
 @dataclass(frozen=True)
 class DctSearchResult:
-    """Either a rate per epsilon, or the epsilons whose search was exhausted."""
+    """Either a rate per epsilon, or the epsilons that have none."""
 
     rate: Optional[RateSpec]
     infeasible: Tuple[Fraction, ...] = ()
-    horizon: int = 0
+    horizon: Optional[int] = None
 
     @property
     def feasible(self) -> bool:
@@ -133,17 +139,20 @@ class DctSearchResult:
 
 
 def metastable_dct_search(families: Iterable[DirectedFamily], r, s,
-                          eta: Sampling, slice_rate: RateSpec, horizon: int,
+                          eta: Sampling, slice_rate: RateSpec, horizon=None,
                           eps_grid: Optional[Iterable] = None) -> DctSearchResult:
     """Empirical metastable dominated convergence over a finite class.
 
     Preconditions (violations raise PreconditionViolated naming the
     offender): every family has ‖phi‖ <= 1 and ‖mu‖ <= s, and every slice
     passes check_rate with the slice-level rate at every grid epsilon > r.
-    For each grid epsilon > r*s the result's rate is the brute-force minimal
-    prefix set valid for all integral sequences; infeasible epsilons are
-    reported, never silently truncated.
+    For each grid epsilon > r*s the result's rate is the minimal prefix set
+    valid for all integral sequences, as brute_min_uniform_rate finds it;
+    epsilons with none are reported, never silently truncated.  Each
+    distinct slice and integral sequence is read in one pass for the grid.
     """
+    if horizon is not None and horizon < 0:
+        raise ValueError(f"horizon must be >= 0, got {horizon}")
     families = list(families)
     r, s = parse_rational(r), parse_rational(s)
     grid = sorted(
@@ -152,7 +161,9 @@ def metastable_dct_search(families: Iterable[DirectedFamily], r, s,
     )
     if any(eps <= r for eps in grid):
         raise ValueError("grid epsilons must exceed r")
+    rates = [(_eps_pair(e), _sorted_rate(slice_rate.rate_for(e))) for e in grid]
 
+    passed = set()
     for idx, fam in enumerate(families):
         if fam.norm_phi > 1:
             raise PreconditionViolated(
@@ -164,28 +175,31 @@ def metastable_dct_search(families: Iterable[DirectedFamily], r, s,
                 f"> s = {format_rational(s)}"
             )
         for w, slice_seq in sorted(fam.slices.items()):
-            for eps in grid:
-                E = slice_rate.rate_for(eps)
-                if not check_rate(slice_seq, eps, eta, E):
+            if (key := (slice_seq._pairs, slice_seq.period)) in passed:
+                continue
+            for eps, witness in zip(grid, _grid_witnesses(slice_seq, eta,
+                                                          rates)):
+                if witness is None:
                     raise PreconditionViolated(
                         f"family #{idx}, slice {w!r}: no witness in the "
                         f"slice rate at epsilon = {format_rational(eps)}"
                     )
+            passed.add(key)
 
-    integrals = [integral_sequence(fam) for fam in families]
     out_grid = [eps for eps in grid if eps > r * s]
-    found, infeasible = {}, []
-    for eps in out_grid:
-        E = brute_min_uniform_rate(integrals, eps, eta, horizon)
-        if E is None:
-            infeasible.append(eps)
-        else:
-            found[eps] = E
-    if infeasible:
-        return DctSearchResult(None, tuple(infeasible), horizon)
-    return DctSearchResult(
-        RateSpec(r=r * s, per_epsilon=found), (), horizon
-    )
+    tops, searched = [0] * len(out_grid), set()
+    for seq in map(integral_sequence, families):
+        if (key := (seq._pairs, seq.period)) not in searched:
+            searched.add(key)
+            E = _search_range(seq, eta, horizon)
+            tops = [None if top is None or w is None else max(top, w)
+                    for top, w in zip(tops, _grid_witnesses(seq, eta, [
+                        (eps.as_integer_ratio(), E) for eps in out_grid]))]
+    if None in tops:
+        return DctSearchResult(None, tuple(
+            eps for eps, top in zip(out_grid, tops) if top is None), horizon)
+    return DctSearchResult(RateSpec(r=r * s, per_epsilon={
+        eps: range(top + 1) for eps, top in zip(out_grid, tops)}), (), horizon)
 
 
 # -- JSON -------------------------------------------------------------------------

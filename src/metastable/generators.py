@@ -22,19 +22,21 @@ from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence
 from .dct import DirectedFamily
 from .directed import Sampling
 from .measure import LInfFunction, MeasureStructure
-from .netcore import Constant, Periodic, SequenceSpec
-from .rationals import parse_rational
+from .errors import RateTooLarge
+from .netcore import MAX_RATE_SIZE, Constant, Periodic, SequenceSpec
+from .rationals import format_rational, parse_rational
 
 if TYPE_CHECKING:
     from .henson.syntax import Formula, Signature
 
 
 def random_rational(rng: random.Random, lo=0, hi=1, max_den: int = 32) -> Fraction:
-    lo, hi = parse_rational(lo), parse_rational(hi)
+    """lo + num/den: den in 1..max_den, then num in 0..floor((hi-lo)·den)."""
+    (a, b), (c, d) = ((q if type(q) is int else parse_rational(q))
+                      .as_integer_ratio() for q in (lo, hi))
     den = rng.randint(1, max_den)
-    span = (hi - lo) * den
-    num = rng.randint(0, math.floor(span))
-    return lo + Fraction(num, den)
+    num = rng.randint(0, (c * b - a * d) * den // (b * d))
+    return Fraction(a * den + num * b, b * den)
 
 
 # -- sequences ---------------------------------------------------------------
@@ -68,24 +70,25 @@ def staircase_sequence(eps, eta: Sampling) -> SequenceSpec:
     constant; delta is chosen so the total climb stays below 1.  Every
     window starting before the last boundary straddles a climb, so no
     prefix rate shorter than {0..F^(k-1)(0)} can witness stability.
+    RateTooLarge, before the sequence is built, when that prefix would hold
+    more than MAX_RATE_SIZE values.
     """
     eps = parse_rational(eps)
     if eps <= 0:
         raise ValueError("epsilon must be positive")
-    k = math.ceil(1 / eps)
-    jumps = k - 1
-    if jumps == 0:
-        return SequenceSpec(prefix=(Fraction(0),), tail=Constant(), bound=1)
-    delta = (1 - jumps * eps) / (2 * jumps)
-    boundary = 0
-    boundaries = []
-    for _ in range(jumps):
-        boundary = eta.f(boundary)
-        boundaries.append(boundary)
-    values = []
-    for n in range(boundaries[-1] + 1):
-        count = sum(1 for c in boundaries if c <= n)
-        values.append((eps + delta) * count)
+    jumps = math.ceil(1 / eps) - 1
+    step = eps + (1 - jumps * eps) / (2 * jumps) if jumps else 0
+    values, start = [], 0
+    for count in range(jumps):
+        # indices start..F(start)-1 have climbed at `count` boundaries
+        boundary = eta.f(start)
+        if boundary >= MAX_RATE_SIZE:
+            raise RateTooLarge(
+                f"the staircase at epsilon {format_rational(eps)} has more "
+                f"than MAX_RATE_SIZE = {MAX_RATE_SIZE} values")
+        values += [step * count] * (boundary - start)
+        start = boundary
+    values.append(step * jumps)
     return SequenceSpec(prefix=tuple(values), tail=Constant(), bound=1)
 
 

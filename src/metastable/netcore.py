@@ -35,6 +35,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -197,10 +198,10 @@ def osc_segment(seq, S: Iterable[int]) -> Fraction:
     return osc_points([seq.value(i) for i in indices])
 
 
-def _window_oscs(seq: SequenceSpec, eta: Sampling,
-                 indices: Sequence[int]) -> Iterator[tuple]:
-    """Exact oscillation of eta_i, as a (numerator, denominator) pair, for
-    each i of the ascending `indices`.
+def _window_oscs(seq: SequenceSpec, eta: Sampling, indices: Iterable[int],
+                 last: int) -> Iterator[tuple]:
+    """(i, n, d) for each i of the ascending naturals `indices`, the largest
+    of which is `last`, with n/d the exact oscillation of eta_i.
 
     A linear window [i, ki+c] is read only up to min(ki+c, max(i,T)+p-1),
     with T the tail start and p the period: from max(i, T) on, p
@@ -210,18 +211,14 @@ def _window_oscs(seq: SequenceSpec, eta: Sampling,
     at a witness i has read nothing past max(eta_i).  An index missing
     from a table raises SamplingDomainError before anything is read.
     """
-    if not indices:
-        return
     if eta.table is not None:
-        windows = [eta.eta(i) for i in indices]
-        cap = max(window[-1] for window in windows)
-        for window in windows:
-            yield _spread([seq.pairs(j, j, cap)[0] for j in window])
+        windows = [(i, eta.eta(i)) for i in indices]
+        cap = max((window[-1] for _, window in windows), default=0)
+        for i, window in windows:
+            yield (i, *_spread([seq.pairs(j, j, cap)[0] for j in window]))
         return
-    if indices[0] < 0:
-        raise SamplingDomainError(f"index {indices[0]} not in ℕ")
     k, c, T, p = eta.k, eta.c, seq.tail_start, seq.period
-    cap = min(k * indices[-1] + c, max(indices[-1], T) + p - 1)
+    cap = min(k * last + c, max(last, T) + p - 1)
     # per coordinate, (index, numerator, denominator) of increasing (low)
     # and of decreasing (high) values: the fronts are the window's extremes
     tracks = [(deque(), deque()) for _ in seq._pairs[0]]
@@ -251,7 +248,7 @@ def _window_oscs(seq: SequenceSpec, eta: Sampling,
             n, d = high_n * low_d - low_n * high_d, high_d * low_d
             if n * osc_d > osc_n * d:
                 osc_n, osc_d = n, d
-        yield osc_n, osc_d
+        yield i, osc_n, osc_d
 
 
 def _first_witness(seq: SequenceSpec, eps: tuple, eta: Sampling,
@@ -269,14 +266,54 @@ def _first_witness(seq: SequenceSpec, eps: tuple, eta: Sampling,
     reachable = p // math.gcd(indices.step, p) \
         if isinstance(indices, range) else p
     failed = set()
-    for i, (osc_n, osc_d) in zip(indices, _window_oscs(seq, eta, indices)):
-        if osc_n * eps_d <= eps_n * osc_d:
+    for i, n, d in _window_oscs(seq, eta, indices, indices[-1] if indices else 0):
+        if n * eps_d <= eps_n * d:
             return i
         if eta.table is None and i >= T:
             failed.add((i - T) % p)
             if len(failed) == reachable:
                 return None
     return None
+
+
+def _grid_witnesses(seq: SequenceSpec, eta: Sampling,
+                    rates: Sequence[tuple]) -> list:
+    """`_first_witness` for each (eps, E) of `rates`, in one pass over the
+    union of the E still undecided: each eps sees only windows of its E."""
+    answers, T, p = [None] * len(rates), seq.tail_start, seq.period
+    # per undecided eps: position, eps, E, its members, max E, residues
+    pending = [(k, *eps, E, E if isinstance(E, range) else frozenset(E), E[-1],
+                p // math.gcd(E.step, p) if isinstance(E, range) else p, set())
+               for k, (eps, E) in enumerate(rates)]
+
+    def union():  # a table takes all its windows first: stop at the ends
+        i = -1
+        while later := [E[bisect_right(E, i)]
+                        for _, _, _, E, _, top, *_ in pending if top > i]:
+            i = min(later)
+            yield i
+
+    sets = [E for _, E in rates]
+    prefix = all(E == range(len(E)) for E in sets)  # each E is 0..max E
+    indices = max(sets, key=len, default=()) if prefix else union()
+    last = max((E[-1] for E in sets), default=0)
+    for i, osc_n, osc_d in _window_oscs(seq, eta, indices, last):
+        undecided = []
+        for state in pending:
+            k, eps_n, eps_d, _, members, top, reachable, failed = state
+            if i in members:
+                if osc_n * eps_d <= eps_n * osc_d:
+                    answers[k] = i
+                    continue
+                if eta.table is None and i >= T:
+                    failed.add((i - T) % p)
+                    if len(failed) == reachable:
+                        continue
+            if i < top:
+                undecided.append(state)
+        if not (pending := undecided):
+            break
+    return answers
 
 
 def _eps_pair(eps) -> tuple:
@@ -293,6 +330,8 @@ def _sorted_rate(E: Iterable[int]) -> Sequence[int]:
         E = sorted(set(E))
     if not E:
         raise EmptyRate("no sequence has an empty rate")
+    if E[0] < 0:
+        raise SamplingDomainError(f"index {E[0]} not in ℕ")
     return E
 
 
@@ -353,6 +392,16 @@ def rate_interval(lo: int, hi: int) -> range:
     return range(lo, hi + 1)
 
 
+def _search_range(seq, eta: Sampling, horizon=None) -> range:
+    """0..m, holding a first witness if any: m = min(T+p-1, horizon) for kn+c
+    (see osc_eta_exact); for a table the horizon, or else its largest index."""
+    if eta.table is not None:
+        top = max(eta.table, default=-1) if horizon is None else horizon
+        return range(top + 1)
+    top = seq.tail_start + seq.period - 1
+    return range((top if horizon is None else min(horizon, top)) + 1)
+
+
 def osc_eta_exact(seq: SequenceSpec, eta: Sampling) -> Fraction:
     """Exact inf over all i of the window oscillation osc over eta_i.
 
@@ -363,7 +412,7 @@ def osc_eta_exact(seq: SequenceSpec, eta: Sampling) -> Fraction:
     domain = sorted(eta.table) if eta.table is not None \
         else range(seq.tail_start + seq.period)
     least = None
-    for n, d in _window_oscs(seq, eta, domain):
+    for _, n, d in _window_oscs(seq, eta, domain, domain[-1] if domain else 0):
         if least is None or n * least[1] < least[0] * d:
             least = n, d
     if least is None:
@@ -412,16 +461,18 @@ def uniform_rate_audit(family: Iterable[SequenceSpec], eps, eta: Sampling,
 
 
 def brute_min_uniform_rate(family: Sequence[SequenceSpec], eps, eta: Sampling,
-                           horizon: int) -> Optional[range]:
-    """Smallest prefix rate {0..m}, m <= horizon, valid for the whole family.
+                           horizon: Optional[int] = None) -> Optional[range]:
+    """Smallest prefix rate {0..m} valid for the whole family, m <= horizon.
 
-    {0..m} is valid for a member exactly when its first witness in
-    0..horizon is at most m, so m is the largest first witness.  Returns
-    None when some member has none within the horizon (infeasible).
+    {0..m} is valid for a member exactly when its first witness is at most
+    m, so m is the largest first witness.  None means that some member has
+    none: at all without a horizon (the search is exact), or within it.
     """
+    if horizon is not None and horizon < 0:
+        raise ValueError(f"horizon must be >= 0, got {horizon}")
     eps, top = _eps_pair(eps), 0
     for seq in family:
-        witness = _first_witness(seq, eps, eta, range(horizon + 1))
+        witness = _first_witness(seq, eps, eta, _search_range(seq, eta, horizon))
         if witness is None:
             return None
         top = max(top, witness)

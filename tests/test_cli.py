@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import metastable as ms
 import metastable.henson as h
 import metastable.cli as cli
+import metastable.generators as generators
 from metastable.cli import build_parser, main
 
 
@@ -237,6 +238,29 @@ class TestDct:
                         capsys)
         assert code == 1
         assert "infeasible" in out
+
+    def test_search_without_horizon_is_exact(self, capsys):
+        search = ["dct", "search", "--F", "2n+1", "--eps", "1/8",
+                  "--count", "2", "--seed", "1"]
+        code, out = run(search, capsys)
+        assert code == 0 and out == "eps=1/8: E={0..127}\n"
+        code, out = run(search + ["--horizon", "96"], capsys)
+        assert code == 1 and out.startswith("infeasible within horizon 96")
+
+    def test_oversized_staircase_refused_unbuilt(self, capsys, monkeypatch):
+        def build(*args):
+            raise AssertionError("staircase built")
+
+        monkeypatch.setattr(generators, "staircase_sequence", build)
+        err = usage_error(["dct", "search", "--F", "2n+1", "--eps", "1/22",
+                           "--count", "0"], capsys)
+        assert "MAX_RATE_SIZE" in err
+
+    @pytest.mark.parametrize("flag", ["--count", "--horizon"])
+    def test_negative_count_or_horizon_exit_2(self, flag, capsys):
+        err = usage_error(["dct", "search", "--F", "n+1", "--eps", "1/2",
+                           flag, "-1"], capsys)
+        assert "must be >= 0, got -1" in err
 
     def test_seed_env_var(self, capsys, monkeypatch):
         monkeypatch.setenv("METASTABLE_SEED", "4")

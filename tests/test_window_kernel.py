@@ -4,7 +4,8 @@ Every rerouted function is compared with a loop over `osc_segment` on
 generated sequences (scalar and tuple values, constant and periodic tails)
 and samplings (n+c, kn+c, explicit tables), with rates that
 have gaps, sparse rates and rates given as huge ranges.  A spy sequence
-shows what a rate check reads.
+shows what a rate check reads.  The grid driver, which decides a whole
+epsilon grid in one pass, is held to one `rate_witness` per epsilon.
 """
 
 import time
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from metastable import (
     Constant,
     Periodic,
+    SamplingDomainError,
     SequenceSpec,
     affine_sampling,
     brute_min_uniform_rate,
@@ -29,7 +31,12 @@ from metastable import (
     rate_witness,
     uniform_rate_audit,
 )
-from metastable.netcore import osc_points
+from metastable.netcore import (
+    _eps_pair,
+    _grid_witnesses,
+    _sorted_rate,
+    osc_points,
+)
 
 # explicit tables cover 0..TABLE_TOP; every generated index stays inside
 TABLE_TOP = 14
@@ -127,6 +134,78 @@ def test_family_searches_match_literal(family, eta, eps, horizon, E):
     result = uniform_rate_audit(family, eps, eta, E)
     assert result.passed == (not failing)
     assert result.index == (failing[0] if failing else None)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(family=st.lists(sequences(), max_size=5), eta=samplings(),
+       eps=epsilons)
+def test_uncapped_search_is_exact(family, eta, eps):
+    # the literal search over i < T+p (the table's domain), and over a far
+    # longer prefix of ℕ for kn+c: a first witness, if any, lies below T+p
+    ends = [s.tail_start + s.period - 1 for s in family]
+    top = TABLE_TOP if eta.table is not None else max(ends, default=0)
+    assert brute_min_uniform_rate(family, eps, eta) == \
+        literal_brute_min(family, eps, eta, top)
+    if eta.table is None:
+        firsts = [literal_witness(s, eps, eta, range(3 * end + 10))
+                  for s, end in zip(family, ends)]
+        expected = None if None in firsts else range(max(firsts, default=0) + 1)
+        assert brute_min_uniform_rate(family, eps, eta) == expected
+
+
+def test_negative_horizon_refused():
+    with pytest.raises(ValueError, match="horizon must be >= 0"):
+        brute_min_uniform_rate([], F(1, 2), affine_sampling(1), -1)
+
+
+def test_uncapped_search_on_a_table_stops_at_its_largest_index():
+    # a prefix rate must lie in the table: a gap below its largest index
+    # raises, as a horizon reaching the gap does
+    seq = SequenceSpec(prefix=(0, 1, 1))
+    full = explicit_sampling({0: {0, 1}, 1: {1, 2}, 2: {2}})
+    assert brute_min_uniform_rate([seq], 0, full) == range(2)
+    gapped = explicit_sampling({0: {0, 1}, 2: {2}})
+    with pytest.raises(SamplingDomainError, match="no window at 1"):
+        brute_min_uniform_rate([seq], 0, gapped)
+    with pytest.raises(SamplingDomainError, match="no window at 1"):
+        brute_min_uniform_rate([seq], 0, gapped, 1)
+
+
+prefix_rates = st.integers(1, TABLE_TOP + 1).map(range)
+stepped_rates = st.builds(lambda a, n, s: range(a, a + n * s, s),
+                          st.integers(0, 4), st.integers(1, 4),
+                          st.integers(1, 3))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seq=sequences(), eta=samplings(), grid=st.one_of(
+    st.lists(st.tuples(epsilons, prefix_rates), min_size=1, max_size=5),
+    st.lists(st.tuples(epsilons, st.one_of(prefix_rates, stepped_rates,
+                                           rates)), min_size=1, max_size=5)))
+def test_grid_matches_one_witness_per_epsilon(seq, eta, grid):
+    pairs = [(_eps_pair(eps), _sorted_rate(E)) for eps, E in grid]
+    assert _grid_witnesses(seq, eta, pairs) == [
+        rate_witness(seq, eps, eta, E) for eps, E in grid]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seq=sequences(), F_text=st.sampled_from(["n+1", "n+4", "2n+1", "3n+2"]),
+       grid=st.lists(st.tuples(epsilons, st.one_of(
+           st.builds(lambda a, s: range(a, 2 ** 40, s),
+                     st.integers(0, 12), st.integers(1, 6)),
+           st.sets(st.integers(0, 40), min_size=1, max_size=8))),
+           min_size=1, max_size=4))
+def test_grid_over_huge_ranges_reads_a_bounded_prefix(seq, F_text, grid):
+    eta = parse_f_expression(F_text)
+    spy = Spy(prefix=seq.prefix, tail=seq.tail)
+    pairs = [(_eps_pair(eps), _sorted_rate(E)) for eps, E in grid]
+    assert _grid_witnesses(spy, eta, pairs) == [
+        rate_witness(seq, eps, eta, E) for eps, E in grid]
+    # each value once; a huge range is decided within p of its steps past T
+    assert len(spy.calls) == len(set(spy.calls))
+    assert max(spy.calls) <= max(
+        max(E.start, seq.tail_start) + seq.period * (E.step + 1) - 2
+        if isinstance(E, range) else eta.f(max(E)) for _, E in grid)
 
 
 def literal_scan(seq, eps, eta, E):
