@@ -188,13 +188,16 @@ def metastable_dct_search(families: Iterable[DirectedFamily], r, s,
 
     out_grid = [eps for eps in grid if eps > r * s]
     tops, searched = [0] * len(out_grid), set()
-    for seq in map(integral_sequence, families):
+    for fam in families:
+        if not (live := [k for k, top in enumerate(tops) if top is not None]):
+            break  # every epsilon is infeasible: no later sequence can help
+        seq = integral_sequence(fam)
         if (key := (seq._pairs, seq.period)) not in searched:
             searched.add(key)
             E = _search_range(seq, eta, horizon)
-            tops = [None if top is None or w is None else max(top, w)
-                    for top, w in zip(tops, _grid_witnesses(seq, eta, [
-                        (eps.as_integer_ratio(), E) for eps in out_grid]))]
+            for k, w in zip(live, _grid_witnesses(seq, eta, [
+                    (out_grid[k].as_integer_ratio(), E) for k in live])):
+                tops[k] = None if w is None else max(tops[k], w)
     if None in tops:
         return DctSearchResult(None, tuple(
             eps for eps, top in zip(out_grid, tops) if top is None), horizon)

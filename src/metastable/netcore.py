@@ -11,16 +11,21 @@ every metastability comparison is the exact osc <= eps.  Decimal text in a
 file is read exactly ("0.1" is 1/10); Python floats are refused.
 
 Every window evaluation (rate checks and witnesses, eta-oscillation, the
-minimal-rate search) goes through one kernel, `_window_oscs`.  For a
-linear sampling the windows [i, ki+c] of ascending i slide to the right,
-so a min deque and a max deque per coordinate keep the extremes of the
-current window and each sequence value is read at most once: a rate check
-costs O(F(max E) - min E) reads and comparisons, not the sum of the window
-lengths.  From max(i, T) on, where T is the tail start and p the period,
-any p consecutive values hold the whole period, so window i is read only up
-to min(ki+c, max(i, T)+p-1): no window reads more than T-i+p values, and
-past T a failing window fails again p indices later, so a witness search
-stops once failures have covered every residue modulo p.
+minimal-rate search) goes through one kernel, `_window_oscs`, and every
+rate decision (some i in E with osc(eta_i) <= eps?) through one routine,
+`_first_witness`.  For a linear sampling the windows [i, ki+c] of
+ascending i slide to the right, so a min deque and a max deque per
+coordinate keep the extremes of the current window and each sequence value
+is read at most once: a rate check costs O(F(max E) - min E) reads and
+comparisons, not the sum of the window lengths.  From max(i, T) on, where
+T is the tail start and p the period, any p consecutive values hold the
+whole period, so window i is read only up to min(ki+c, max(i, T)+p-1): no
+window reads more than T-i+p values, and past T a failing window fails
+again p indices later, so a witness search stops once failures have
+covered every residue modulo p.  An eps grid (`_grid_witnesses`) is a memo
+over one kernel pass on the union of the rate sets, run only as far as
+some eps asks.  When the sets are not prefixes of one another, a window of
+one set below the furthest index another eps needs is evaluated too.
 
 Windows compare integer cross-products, a/b <= c/d as a*d <= c*b, over
 each value's own (numerator, denominator) pair, and only a returned result
@@ -33,12 +38,13 @@ literal definition, is the oracle the tests hold the kernel to.
 from __future__ import annotations
 
 import csv
+import heapq
 import io
 import math
-from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import groupby
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .directed import Sampling
@@ -252,21 +258,23 @@ def _window_oscs(seq: SequenceSpec, eta: Sampling, indices: Iterable[int],
 
 
 def _first_witness(seq: SequenceSpec, eps: tuple, eta: Sampling,
-                   indices: Sequence[int]) -> Optional[int]:
-    """First i of the ascending `indices` whose window oscillates <= eps.
-
-    eps is a (numerator, denominator) pair.  For a linear sampling and
-    i >= T, a failing window i fails again at i+p: it sees the same cyclic
-    segment, at least as long.  So the search stops with None once failures
-    past T cover every residue (i-T) mod p that later indices can have: all
-    p of them, or for a range of step s the p/gcd(s, p) of one coset.
+                   indices: Sequence[int], windows=None) -> Optional[int]:
+    """First i of the ascending `indices` whose window oscillates <= eps,
+    an (n, d) pair; `windows` yields their (i, n, d), by default from a new
+    `_window_oscs` pass.  For a linear sampling and i >= T, a failing window
+    i fails again at i+p: it sees the same cyclic segment, at least as long.
+    So the search stops with None once failures past T cover every residue
+    (i-T) mod p that later indices can have: all p of them, or for a range
+    of step s the p/gcd(s, p) of one coset.
     """
     eps_n, eps_d = eps
     T, p = seq.tail_start, seq.period
     reachable = p // math.gcd(indices.step, p) \
         if isinstance(indices, range) else p
     failed = set()
-    for i, n, d in _window_oscs(seq, eta, indices, indices[-1] if indices else 0):
+    if windows is None:
+        windows = _window_oscs(seq, eta, indices, indices[-1] if indices else 0)
+    for i, n, d in windows:
         if n * eps_d <= eps_n * d:
             return i
         if eta.table is None and i >= T:
@@ -278,42 +286,24 @@ def _first_witness(seq: SequenceSpec, eps: tuple, eta: Sampling,
 
 def _grid_witnesses(seq: SequenceSpec, eta: Sampling,
                     rates: Sequence[tuple]) -> list:
-    """`_first_witness` for each (eps, E) of `rates`, in one pass over the
-    union of the E still undecided: each eps sees only windows of its E."""
-    answers, T, p = [None] * len(rates), seq.tail_start, seq.period
-    # per undecided eps: position, eps, E, its members, max E, residues
-    pending = [(k, *eps, E, E if isinstance(E, range) else frozenset(E), E[-1],
-                p // math.gcd(E.step, p) if isinstance(E, range) else p, set())
-               for k, (eps, E) in enumerate(rates)]
-
-    def union():  # a table takes all its windows first: stop at the ends
-        i = -1
-        while later := [E[bisect_right(E, i)]
-                        for _, _, _, E, _, top, *_ in pending if top > i]:
-            i = min(later)
-            yield i
-
+    """`_first_witness` for each (eps, E) of `rates`, each window evaluated
+    once: one pass over the longest E when the others are its prefixes,
+    else over the merged sets, advanced only when some eps asks."""
     sets = [E for _, E in rates]
-    prefix = all(E == range(len(E)) for E in sets)  # each E is 0..max E
-    indices = max(sets, key=len, default=()) if prefix else union()
+    longest = max(sets, key=len, default=())
+    union = longest if all(E == longest[:len(E)] for E in sets) \
+        else (i for i, _ in groupby(heapq.merge(*sets)))
     last = max((E[-1] for E in sets), default=0)
-    for i, osc_n, osc_d in _window_oscs(seq, eta, indices, last):
-        undecided = []
-        for state in pending:
-            k, eps_n, eps_d, _, members, top, reachable, failed = state
-            if i in members:
-                if osc_n * eps_d <= eps_n * osc_d:
-                    answers[k] = i
-                    continue
-                if eta.table is None and i >= T:
-                    failed.add((i - T) % p)
-                    if len(failed) == reachable:
-                        continue
-            if i < top:
-                undecided.append(state)
-        if not (pending := undecided):
-            break
-    return answers
+    stream, memo = _window_oscs(seq, eta, union, last), {}
+
+    def windows(E):
+        for i in E:
+            while i not in memo:
+                window = next(stream)
+                memo[window[0]] = window
+            yield memo[i]
+
+    return [_first_witness(seq, eps, eta, E, windows(E)) for eps, E in rates]
 
 
 def _eps_pair(eps) -> tuple:

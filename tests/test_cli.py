@@ -170,6 +170,17 @@ class TestLogic:
         assert code == 2
         assert capsys.readouterr().err == "error: d takes two arguments\n"
 
+    @pytest.mark.parametrize("formula", [
+        "E 1 x. " * 400 + "d(x, a) <= 1",
+        "(" * 1200 + "d(a, a) <= 1" + " & d(a, a) <= 1)" * 1200,
+    ], ids=["quantifiers-400", "conjunctions-1200"])
+    def test_deep_formula_exit_2(self, workdir, capsys, formula):
+        code = main(["logic", "check", "--structure", str(workdir / "m.json"),
+                     "--formula", formula])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            "error: the input is nested too deeply\n"
+
     def test_parse_error_exit_2(self, workdir, capsys):
         code = main(["logic", "check", "--structure", str(workdir / "m.json"),
                      "--formula", "d(x, a) <="])

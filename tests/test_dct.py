@@ -413,6 +413,48 @@ class TestSearch:
             assert len(spy.calls) == len(set(spy.calls))
             assert all(j <= bound for j in spy.calls)
 
+    def test_infeasible_epsilon_is_not_searched_again(self):
+        # the staircase comes first and has no witness at 1/10 within the
+        # horizon; the later distinct integral sequences are searched for
+        # the other epsilons only
+        grid = [F(1), F(1, 2), F(1, 10)]
+        fams = [staircase_family(F(1, 10), ETA1)] + \
+            monotone_slice_class(ETA1, grid, n_random=10, seed=3)
+        calls, grid_witnesses = [], dct_module._grid_witnesses
+
+        def spy(seq, eta, rates):
+            answers = grid_witnesses(seq, eta, rates)
+            calls.append(([eps for eps, _ in rates], answers))
+            return answers
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dct_module, "_grid_witnesses", spy)
+            result = metastable_dct_search(fams, 0, 1, ETA1,
+                                           self.slice_rate(grid), 2)
+        assert result.infeasible == (F(1, 10),) and result.horizon == 2
+        dead, later = set(), 0
+        for epsilons, answers in calls:
+            assert not dead & set(epsilons)
+            later += bool(dead)
+            dead |= {eps for eps, w in zip(epsilons, answers) if w is None}
+        assert dead == {(1, 10)} and later >= 10
+
+    def test_search_stops_once_every_epsilon_is_infeasible(self):
+        fams = [staircase_family(F(1, 10), ETA1)] + \
+            monotone_slice_class(ETA1, [F(1, 10)], n_random=5, seed=3)
+        integrals = []
+
+        def integral(fam):
+            integrals.append(fam)
+            return integral_sequence(fam)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dct_module, "integral_sequence", integral)
+            result = metastable_dct_search(
+                fams, 0, 1, ETA1, self.slice_rate([F(1, 10)]), 2)
+        assert result.infeasible == (F(1, 10),)
+        assert integrals == fams[:1]
+
     def test_negative_horizon_refused(self):
         with pytest.raises(ValueError, match="horizon must be >= 0"):
             metastable_dct_search([], 0, 1, ETA1,

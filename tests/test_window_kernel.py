@@ -5,7 +5,8 @@ generated sequences (scalar and tuple values, constant and periodic tails)
 and samplings (n+c, kn+c, explicit tables), with rates that
 have gaps, sparse rates and rates given as huge ranges.  A spy sequence
 shows what a rate check reads.  The grid driver, which decides a whole
-epsilon grid in one pass, is held to one `rate_witness` per epsilon.
+epsilon grid from one pass, is held to one `rate_witness` per epsilon and
+to evaluating each window once.
 """
 
 import time
@@ -31,6 +32,7 @@ from metastable import (
     rate_witness,
     uniform_rate_audit,
 )
+import metastable.netcore as netcore
 from metastable.netcore import (
     _eps_pair,
     _grid_witnesses,
@@ -206,6 +208,57 @@ def test_grid_over_huge_ranges_reads_a_bounded_prefix(seq, F_text, grid):
     assert max(spy.calls) <= max(
         max(E.start, seq.tail_start) + seq.period * (E.step + 1) - 2
         if isinstance(E, range) else eta.f(max(E)) for _, E in grid)
+
+
+def counting_kernel(patch):
+    """Wrap the window kernel; the list gets the index of each window that
+    any kernel pass yields."""
+    yielded, kernel = [], netcore._window_oscs
+
+    def spy(*args):
+        for window in kernel(*args):
+            yielded.append(window[0])
+            yield window
+
+    patch.setattr(netcore, "_window_oscs", spy)
+    return yielded
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seq=sequences(), F_text=st.sampled_from(["n+1", "n+4", "2n+1", "3n+2"]),
+       grid=st.lists(st.tuples(epsilons, st.integers(1, 30)), min_size=2,
+                     max_size=8))
+def test_grid_evaluates_each_window_once(seq, F_text, grid):
+    # nested prefix rates 0..m-1: one pass up to the furthest index any
+    # epsilon stops at, however many epsilons there are
+    eta = parse_f_expression(F_text)
+    expected = [rate_witness(seq, eps, eta, range(m)) for eps, m in grid]
+    stop = max(literal_scan(seq, eps, eta, range(m))[-1] for eps, m in grid)
+    with pytest.MonkeyPatch.context() as patch:
+        yielded = counting_kernel(patch)
+        assert _grid_witnesses(seq, eta, [
+            (_eps_pair(eps), range(m)) for eps, m in grid]) == expected
+    assert len(yielded) == len(set(yielded)) <= stop + 1
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seq=sequences(), F_text=st.sampled_from(["n+1", "n+4", "2n+1", "3n+2"]),
+       sparse=epsilons, dense=epsilons)
+def test_grid_beside_a_sparse_set(seq, F_text, sparse, dense):
+    # the windows of {0, 10**6} and of 0..5 share one pass: each window is
+    # evaluated and each value read once, and nothing between is read
+    eta = parse_f_expression(F_text)
+    grid = [(sparse, [0, 10 ** 6]), (dense, range(6))]
+    expected = [rate_witness(seq, eps, eta, E) for eps, E in grid]
+    spy = Spy(prefix=seq.prefix, tail=seq.tail)
+    with pytest.MonkeyPatch.context() as patch:
+        yielded = counting_kernel(patch)
+        assert _grid_witnesses(spy, eta, [
+            (_eps_pair(eps), E) for eps, E in grid]) == expected
+    assert len(yielded) == len(set(yielded)) <= 7
+    assert len(spy.calls) == len(set(spy.calls))
+    assert all(j <= eta.f(5) or 10 ** 6 <= j < 10 ** 6 + seq.period
+               for j in spy.calls)
 
 
 def literal_scan(seq, eps, eta, E):
