@@ -70,24 +70,25 @@ def staircase_sequence(eps, eta: Sampling) -> SequenceSpec:
     constant; delta is chosen so the total climb stays below 1.  Every
     window starting before the last boundary straddles a climb, so no
     prefix rate shorter than {0..F^(k-1)(0)} can witness stability.
-    RateTooLarge, before the sequence is built, when that prefix would hold
-    more than MAX_RATE_SIZE values.
+    RateTooLarge, from the integer boundaries alone and before any value is
+    built, when that prefix would hold more than MAX_RATE_SIZE values.
     """
     eps = parse_rational(eps)
     if eps <= 0:
         raise ValueError("epsilon must be positive")
     jumps = math.ceil(1 / eps) - 1
     step = eps + (1 - jumps * eps) / (2 * jumps) if jumps else 0
-    values, start = [], 0
-    for count in range(jumps):
-        # indices start..F(start)-1 have climbed at `count` boundaries
-        boundary = eta.f(start)
-        if boundary >= MAX_RATE_SIZE:
+    boundaries = [0]
+    for _ in range(jumps):
+        boundaries.append(eta.f(boundaries[-1]))
+        if boundaries[-1] >= MAX_RATE_SIZE:
             raise RateTooLarge(
                 f"the staircase at epsilon {format_rational(eps)} has more "
                 f"than MAX_RATE_SIZE = {MAX_RATE_SIZE} values")
-        values += [step * count] * (boundary - start)
-        start = boundary
+    values = []
+    for count, (start, end) in enumerate(zip(boundaries, boundaries[1:])):
+        # indices start..end-1 have climbed at `count` boundaries
+        values += [step * count] * (end - start)
     values.append(step * jumps)
     return SequenceSpec(prefix=tuple(values), tail=Constant(), bound=1)
 

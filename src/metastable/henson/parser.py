@@ -22,9 +22,8 @@ signature's unique non-real sort.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from ..errors import FormulaSyntaxError, SortMismatch, UnknownSymbol
 from .syntax import (
@@ -46,37 +45,27 @@ from .syntax import (
 )
 
 _TOKEN = re.compile(
-    r"\s*(?:(?P<num>-?\d+)|(?P<ident>[A-Za-z_][A-Za-z_0-9']*)"
-    r"|(?P<op><=|>=|[()/.,&|]))"
+    r"(?P<num>-?\d+)|(?P<ident>[A-Za-z_][A-Za-z_0-9']*)"
+    r"|(?P<op><=|>=|[()/.,&|])|(?P<bad>\S)"
 )
 
 _RESERVED = {"E", "A"}
 
 
-@dataclass(frozen=True)
-class _Tok:
+class Token(NamedTuple):
     kind: str  # num | ident | op | end
     text: str
     pos: int
 
 
-def _tokenize(text: str) -> List[_Tok]:
-    out, pos = [], 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise FormulaSyntaxError(
-                f"unexpected character {stripped[0]!r}", len(text) - len(stripped)
-            )
-        for kind in ("num", "ident", "op"):
-            if m.group(kind) is not None:
-                out.append(_Tok(kind, m.group(kind), m.start(kind)))
-                break
-        pos = m.end()
-    out.append(_Tok("end", "", len(text)))
+def _tokenize(text: str) -> List[Token]:
+    out = []
+    for m in _TOKEN.finditer(text):
+        if m.lastgroup == "bad":
+            raise FormulaSyntaxError(f"unexpected character {m[0]!r}",
+                                     m.start())
+        out.append(Token(m.lastgroup, m[0], m.start()))
+    out.append(Token("end", "", len(text)))
     return out
 
 
@@ -99,15 +88,15 @@ class _Parser:
 
     # token plumbing ----------------------------------------------------
 
-    def peek(self) -> _Tok:
+    def peek(self) -> Token:
         return self.tokens[self.i]
 
-    def take(self) -> _Tok:
+    def take(self) -> Token:
         tok = self.tokens[self.i]
         self.i += 1
         return tok
 
-    def expect_op(self, text: str) -> _Tok:
+    def expect_op(self, text: str) -> Token:
         tok = self.take()
         if tok.kind != "op" or tok.text != text:
             raise FormulaSyntaxError(f"expected {text!r}", tok.pos)

@@ -6,8 +6,10 @@ polymorphic metric symbol d (on reals, d(x, y) = |x - y|).  Every non-real
 sort has a metric and an anchor constant.
 
 Formula trees use exact rational bounds and radii throughout.  Connectives
-are binary; the conj/disj helpers fold finite families right-associatively
-so that printed text round-trips to an identical tree.
+are binary; the conj/disj helpers fold finite families into balanced trees,
+ceil(log2 n) deep with the members in their given order, so that window
+formulas of any size stay shallow for every recursive walker, and printed
+text round-trips to an identical tree.
 """
 
 from __future__ import annotations
@@ -242,19 +244,21 @@ def _fold(connective, formulas, name: str) -> Formula:
     formulas = list(formulas)
     if not formulas:
         raise ValueError(f"empty {name}")
-    out = formulas[-1]
-    for f in reversed(formulas[:-1]):
-        out = connective(f, out)
-    return out
+    while len(formulas) > 1:
+        paired = [connective(a, b)
+                  for a, b in zip(formulas[::2], formulas[1::2])]
+        formulas = paired + formulas[2 * len(paired):]
+    return formulas[0]
 
 
 def conj(formulas) -> Formula:
-    """Right-associated conjunction of a nonempty list."""
+    """Balanced conjunction of a nonempty list: neighbours are paired until
+    one formula is left, so n conjuncts nest ceil(log2 n) deep, in order."""
     return _fold(And, formulas, "conjunction")
 
 
 def disj(formulas) -> Formula:
-    """Right-associated disjunction of a nonempty list."""
+    """Balanced disjunction of a nonempty list, paired as in conj."""
     return _fold(Or, formulas, "disjunction")
 
 

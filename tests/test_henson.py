@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import time
 from fractions import Fraction as F
@@ -9,12 +10,14 @@ from hypothesis import strategies as st
 
 import metastable.henson as h
 from metastable import (
+    Constant,
     EmptyRate,
     FormulaSyntaxError,
     MetastableError,
     NonpositiveDelta,
     NonpositiveRadius,
     RealQuantifier,
+    SequenceSpec,
     SortMismatch,
     UnassignedVariable,
     UnknownSymbol,
@@ -44,6 +47,15 @@ def two_sort_signature():
                        functions={"f": (("X",), "Y"), "g": (("Y",), "R"),
                                   "h": (("X", "Y"), "R")},
                        constants={"a": "X", "b": "Y"})
+
+
+def depth(phi) -> int:
+    """Connectives and quantifiers on the longest path, plus the atom."""
+    if isinstance(phi, (h.And, h.Or)):
+        return 1 + max(depth(phi.left), depth(phi.right))
+    if isinstance(phi, (h.Exists, h.Forall)):
+        return 1 + depth(phi.body)
+    return 1
 
 
 def real_app(func, *args):
@@ -495,6 +507,32 @@ class TestXiFormulas:
             h.approx_satisfies(M, h.xi_E(eta, E, e)) for e in grid
         ) == check_rate(seq, eps, eta, E)
 
+    def test_100_point_window(self):
+        # 4950 conjuncts per window: folded to the right, they would nest
+        # past the default recursion limit of every formula walker
+        rng = random.Random(100)
+        seq = SequenceSpec(
+            prefix=(F(-1),) + tuple(random_rational(rng, 0, 1, 16)
+                                    for _ in range(100)),
+            tail=Constant())
+        eta, E = affine_sampling(99), (0, 1)
+        sig, M = h.encode_sequence_window(seq, 100)
+        osc = [max(map(seq.value, eta.eta(i))) - min(map(seq.value, eta.eta(i)))
+               for i in E]
+        assert osc[1] < osc[0]
+        t, step = osc[0], F(1, 64)
+        xi, wneg = h.xi_formula(eta, 0, t), h.wneg_xi(eta, 0, t)
+        assert depth(xi) == depth(wneg) == math.ceil(math.log2(4950)) + 1
+        assert h.weak_negation(xi) == wneg
+        assert h.parse_formula(h.format_formula(xi), sig) == xi
+        for phi, holds in ((xi, True), (wneg, True),
+                           (h.xi_formula(eta, 0, t - step), False)):
+            assert h.satisfies(M, phi) == h.approx_satisfies(M, phi) == holds
+        for eps in (osc[1] - step, osc[1]):
+            rate = h.xi_E(eta, E, eps)
+            assert depth(rate) == math.ceil(math.log2(2 * 4950)) + 1
+            assert h.satisfies(M, rate) == h.approx_satisfies(M, rate) == \
+                check_rate(seq, eps, eta, E) == (osc[1] <= eps)
 
 class TestStructureValidation:
     def test_metric_axioms_enforced(self):
