@@ -28,7 +28,6 @@ from .generators import monotone_slice_class
 from .netcore import (
     RateSpec,
     SequenceSpec,
-    eps_cauchy_exact,
     monotone_uniform_rate,
     osc_total_exact,
     rate_interval,
@@ -118,14 +117,14 @@ def cmd_analyze(args) -> int:
     E = _parse_rate_set(args.E)
     eps = parse_rational(args.eps)
     witness = rate_witness(seq, eps, eta, E)
-    holds = witness is not None
+    holds, osc_total = witness is not None, osc_total_exact(seq)
     report = {
         "eps": format_rational(eps),
         "F": args.F,
         "holds": holds,
         "witness": witness,
-        "osc_total": format_rational(osc_total_exact(seq)),
-        "eps_cauchy": eps_cauchy_exact(seq, eps),
+        "osc_total": format_rational(osc_total),
+        "eps_cauchy": osc_total <= eps,  # eps_cauchy_exact, from one osc_total
     }
     if args.json:
         report["E"] = sorted(E)

@@ -56,11 +56,14 @@ class DirectedFamily:
                 "slices must cover exactly the sample space: "
                 f"got {sorted(slices)}, need {sorted(self.measure.omega)}"
             )
+        top_n, top_d = 0, 1  # the largest |value|, compared as cross-products
         for w, s in slices.items():
-            if any(isinstance(v, tuple) for v in s.prefix):
+            if isinstance(s.prefix[0], tuple):  # all values share one shape
                 raise IncoherentTails(f"slice at {w!r} must be scalar-valued")
-        norm = self.norm_phi
-        actual = max(max(max(s.prefix), -min(s.prefix)) for s in slices.values())
+            for (n, d), in s._pairs:
+                if abs(n) * top_d > top_n * d:
+                    top_n, top_d = abs(n), d
+        norm, actual = self.norm_phi, Fraction(top_n, top_d)
         if norm is None:
             norm = actual
         else:

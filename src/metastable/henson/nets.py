@@ -42,18 +42,14 @@ def _pairs(window) -> list:
     return list(combinations(indices, 2)) or [(indices[0], indices[0])]
 
 
-def _window_atom(j: int, jp: int, t, net: str):
-    sj = App(net, (Const(f"{CONST_PREFIX}{j}", DIRECTED_SORT),), REAL)
-    sjp = App(net, (Const(f"{CONST_PREFIX}{jp}", DIRECTED_SORT),), REAL)
-    gap = App(METRIC, (sj, sjp), REAL)
-    return AtomLe(gap, parse_rational(t))
-
-
 def xi_formula(eta: Sampling, i: int, t, net: str = NET_SYMBOL) -> Formula:
     """Conjunction asserting all pairwise gaps within eta_i are <= t."""
-    return conj([
-        _window_atom(j, jp, t, net) for j, jp in _pairs(eta.eta(i))
-    ])
+    window, t = eta.eta(i), parse_rational(t)
+    # one s(c_j) term per index, shared by every atom that reads it
+    terms = {j: App(net, (Const(f"{CONST_PREFIX}{j}", DIRECTED_SORT),), REAL)
+             for j in window}
+    return conj([AtomLe(App(METRIC, (terms[j], terms[jp]), REAL), t)
+                 for j, jp in _pairs(window)])
 
 
 def wneg_xi(eta: Sampling, i: int, t, net: str = NET_SYMBOL) -> Formula:

@@ -15,17 +15,20 @@ minimal-rate search) goes through one kernel, `_window_oscs`, and every
 rate decision (some i in E with osc(eta_i) <= eps?) through one routine,
 `_first_witness`.  For a linear sampling the windows [i, ki+c] of
 ascending i slide to the right, so a min deque and a max deque per
-coordinate keep the extremes of the current window and each sequence value
-is read at most once: a rate check costs O(F(max E) - min E) reads and
-comparisons, not the sum of the window lengths.  From max(i, T) on, where
-T is the tail start and p the period, any p consecutive values hold the
-whole period, so window i is read only up to min(ki+c, max(i, T)+p-1): no
-window reads more than T-i+p values, and past T a failing window fails
-again p indices later, so a witness search stops once failures have
-covered every residue modulo p.  An eps grid (`_grid_witnesses`) is a memo
-over one kernel pass on the union of the rate sets, run only as far as
-some eps asks.  When the sets are not prefixes of one another, a window of
-one set below the furthest index another eps needs is evaluated too.
+coordinate keep the extremes of the current window.  Each window reads its
+new values in one call and takes them in one fused loop per coordinate,
+which pushes each value's entry onto both deques and ends with that
+coordinate's spread.  So each value is read at most once: a rate check
+costs O(F(max E) - min E) reads and comparisons, not the sum of the window
+lengths.  From max(i, T) on, where T is the tail start and p the period,
+any p consecutive values hold the whole period, so window i is read only
+up to min(ki+c, max(i, T)+p-1): no window reads more than T-i+p values,
+and past T a failing window fails again p indices later, so a witness
+search stops once failures have covered every residue modulo p.  An eps
+grid (`_grid_witnesses`) is a memo over one kernel pass on the union of
+the rate sets, run only as far as some eps asks.  When the sets are not
+prefixes of one another, a window of one set below the furthest index
+another eps needs is evaluated too.
 
 Windows compare integer cross-products, a/b <= c/d as a*d <= c*b, over
 each value's own (numerator, denominator) pair, and only a returned result
@@ -214,8 +217,10 @@ def _window_oscs(seq: SequenceSpec, eta: Sampling, indices: Iterable[int],
     consecutive values hold the whole period, so the clamped window has the
     same extremes.  Values are read lazily through `SequenceSpec.pairs`,
     capped at the largest index any window reads, so a caller that stops
-    at a witness i has read nothing past max(eta_i).  An index missing
-    from a table raises SamplingDomainError before anything is read.
+    at a witness i has read nothing past max(eta_i).  Per window, one loop
+    per coordinate drops expired fronts, pushes each new value and takes
+    the spread.  An index missing from a table raises SamplingDomainError
+    before anything is read.
     """
     if eta.table is not None:
         windows = [(i, eta.eta(i)) for i in indices]
@@ -224,36 +229,40 @@ def _window_oscs(seq: SequenceSpec, eta: Sampling, indices: Iterable[int],
             yield (i, *_spread([seq.pairs(j, j, cap)[0] for j in window]))
         return
     k, c, T, p = eta.k, eta.c, seq.tail_start, seq.period
-    cap = min(k * last + c, max(last, T) + p - 1)
-    # per coordinate, (index, numerator, denominator) of increasing (low)
-    # and of decreasing (high) values: the fronts are the window's extremes
-    tracks = [(deque(), deque()) for _ in seq._pairs[0]]
+    cap, stop = k * last + c, (last if last > T else T) + p - 1
+    cap = cap if cap < stop else stop
+    # per coordinate x, (numerator, denominator, index) entries of
+    # increasing (low) and of decreasing (high) values, one entry shared by
+    # both: the fronts are the window's extremes
+    tracks = [(x, deque(), deque()) for x in range(len(seq._pairs[0]))]
     unread = 0
     for i in indices:
-        for low, high in tracks:
-            while low and low[0][0] < i:
-                low.popleft()
-            while high and high[0][0] < i:
-                high.popleft()
-        unread = max(unread, i)
-        # both terms are nondecreasing in i, so the window slides right
-        top = min(k * i + c, max(i, T) + p - 1)
-        for j, value in enumerate(seq.pairs(unread, top, cap), unread):
-            for (low, high), (n, d) in zip(tracks, value):
-                while low and low[-1][1] * d >= n * low[-1][2]:
-                    low.pop()
-                low.append((j, n, d))
-                while high and high[-1][1] * d <= n * high[-1][2]:
-                    high.pop()
-                high.append((j, n, d))
-        unread = top + 1
+        # both bounds are nondecreasing in i, so the window slides right
+        top, stop = k * i + c, (i if i > T else T) + p - 1
+        top = top if top < stop else stop
+        lo = i if i > unread else unread  # the first index not yet read
+        chunk = seq.pairs(lo, top, cap)
         osc_n, osc_d = 0, 1
-        for low, high in tracks:
-            _, low_n, low_d = low[0]
-            _, high_n, high_d = high[0]
+        for x, low, high in tracks:
+            while low and low[0][2] < i:
+                low.popleft()
+            while high and high[0][2] < i:
+                high.popleft()
+            for j, point in enumerate(chunk, lo):
+                n, d = point[x]
+                entry = n, d, j
+                while low and low[-1][0] * d >= n * low[-1][1]:
+                    low.pop()
+                low.append(entry)
+                while high and high[-1][0] * d <= n * high[-1][1]:
+                    high.pop()
+                high.append(entry)
+            low_n, low_d, _ = low[0]
+            high_n, high_d, _ = high[0]
             n, d = high_n * low_d - low_n * high_d, high_d * low_d
             if n * osc_d > osc_n * d:
                 osc_n, osc_d = n, d
+        unread = top + 1
         yield i, osc_n, osc_d
 
 
@@ -269,15 +278,16 @@ def _first_witness(seq: SequenceSpec, eps: tuple, eta: Sampling,
     """
     eps_n, eps_d = eps
     T, p = seq.tail_start, seq.period
-    reachable = p // math.gcd(indices.step, p) \
-        if isinstance(indices, range) else p
-    failed = set()
+    failed = None  # the residues failed past T, built at the first of them
     if windows is None:
         windows = _window_oscs(seq, eta, indices, indices[-1] if indices else 0)
     for i, n, d in windows:
         if n * eps_d <= eps_n * d:
             return i
-        if eta.table is None and i >= T:
+        if i >= T and eta.table is None:
+            if failed is None:  # a range of step s reaches p/gcd(s, p)
+                failed, reachable = set(), p // math.gcd(
+                    getattr(indices, "step", 1), p)
             failed.add((i - T) % p)
             if len(failed) == reachable:
                 return None

@@ -250,6 +250,7 @@ def draw_rows(rng: random.Random) -> list:
     for _ in range(400):
         seq = pick(scalar if rng.random() < 0.9 else seqs)
         files = {"s.json": f"sequence_to_json({seq})"}
+        # a CSV file declares no tail: the monotone, staircase and step ones
         if "tail" not in seq and rng.random() < 0.3:
             files = {"s.csv": f"csv_text({seq})"}
         eta, keys = sampling()

@@ -13,7 +13,7 @@ import time
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from metastable import (
@@ -333,6 +333,62 @@ def test_huge_range_rate_matches_literal(seq, F_text, eps, start, step):
     # the first index past T, then p windows at most, each clamped
     assert max(spy.calls) <= max(start, seq.tail_start) + \
         seq.period * (step + 1) - 2
+
+
+@st.composite
+def runs_of_ties(draw):
+    """Values from {-1, -1/2, 0, 1/2, 1} (or tuples of them) in runs of
+    up to six equal values, so the deques meet ties at every push."""
+    dim = draw(st.sampled_from([0, 0, 2, 3]))
+    scalar = st.builds(F, st.integers(-2, 2), st.just(2))
+    value = scalar if dim == 0 else st.tuples(*[scalar] * dim)
+    runs = draw(st.lists(st.tuples(value, st.integers(1, 6)),
+                         min_size=1, max_size=6))
+    prefix = tuple(v for v, length in runs for _ in range(length))
+    period = draw(st.integers(0, min(len(prefix), 5)))
+    return SequenceSpec(prefix=prefix,
+                        tail=Periodic(period) if period else Constant())
+
+
+@settings(max_examples=200, deadline=None)
+@given(seq=runs_of_ties(), F_text=st.sampled_from(
+    ["n+1", "n+2", "n+5", "2n+1", "3n+2"]),
+    E=st.sets(st.integers(0, 60), min_size=1, max_size=10))
+def test_every_window_matches_osc_segment(seq, F_text, E):
+    # sparse E: a window can start past everything read so far, and most
+    # windows reach past the prefix into the tail
+    eta, E = parse_f_expression(F_text), sorted(E)
+    windows = list(netcore._window_oscs(seq, eta, E, E[-1]))
+    assert [i for i, _, _ in windows] == E
+    for i, n, d in windows:
+        assert F(n, d) == osc_segment(seq, eta.eta(i))
+
+
+@st.composite
+def periodic_tails(draw):
+    scalar = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+    prefix = draw(st.lists(scalar, min_size=2, max_size=12))
+    period = draw(st.integers(2, len(prefix)))
+    return SequenceSpec(prefix=tuple(prefix), tail=Periodic(period))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seq=periodic_tails(), F_text=st.sampled_from(["n+1", "n+2", "2n+1"]),
+       eps=epsilons, start=st.integers(0, 14), step=st.integers(2, 6))
+# tail (0, 0, 1) from T = 0 under n+1 at eps 0: window 1 fails past T,
+# then window 3 is the witness; with step 3 window 1's residue is the
+# only one the range reaches, so its failure ends the search
+@example(seq=SequenceSpec(prefix=(F(0), F(0), F(1)), tail=Periodic(3)),
+         F_text="n+1", eps=F(0), start=1, step=2)
+@example(seq=SequenceSpec(prefix=(F(0), F(0), F(1)), tail=Periodic(3)),
+         F_text="n+1", eps=F(0), start=1, step=3)
+def test_first_witness_on_stepped_ranges_past_the_tail(seq, F_text, eps,
+                                                       start, step):
+    # E[:60] runs far past the first index at or past T, and then through
+    # every residue mod p the range reaches
+    eta, E = parse_f_expression(F_text), range(start, 2 ** 40, step)
+    assert netcore._first_witness(seq, _eps_pair(eps), eta, E) == \
+        literal_witness(seq, eps, eta, E[:60])
 
 
 @settings(max_examples=150, deadline=None)
