@@ -1,23 +1,40 @@
-"""The rate layer's answers on a fixed corpus of cases, pinned by digest.
+"""Golden answers on fixed corpora of cases, pinned by digest.
 
-`rate_corpus.json` holds one row per line: ["lib", call, digest] for a
+Each corpus file holds one row per line: ["lib", call, digest] for a
 library call, or ["cli", argv, files, digest] for a command.  A call is a
 Python expression over the names in `NAMESPACE` (generators, samplings,
-`Fraction` as F and `random.Random` as Random); `files` maps each file name
-in argv to an expression for its content, a JSON value or, for a .csv
-name, the text.  The rows were drawn by `draw_rows()` from a fixed seed and
-written once from the code at commit 2d606b1.  A row that no longer matches
-is a change in what the program answers.
+formula and measure helpers, `Fraction` as F and `random.Random` as
+Random); `files` maps each file name in argv to an expression for its
+content, a JSON value or, for a .csv name, the text.  A row that no longer
+matches is a change in what the program answers.  There are two slices:
+
+- `rate_corpus.json` ("rate"), drawn by `draw_rows()` and written once from
+  the code at commit 2d606b1: the rate layer's library calls and the
+  `analyze`, `rate monotone`, `dct check` and `dct search` commands.
+- `logic_measure_corpus.json` ("logic-measure"), drawn by
+  `draw_logic_measure_rows()` and written once from the code at commit
+  595682d: `weak_negation`, `relax`, `is_approximation`, `free_vars`,
+  `format_formula`, `critical_values` and both satisfaction relations on
+  generator formulas and on two-sort trees with free and shadowed
+  variables; `logic check` (both modes, `--json`, `--assign`) and `logic
+  parse` on generator and window structures; `measure audit`, `integrate`
+  and `measurable`; and one malformed document per field and bad-value
+  shape for every loader (sequence JSON and CSV, sampling, rate file,
+  measure, L-infinity function, family, structure).  Texts nest at most 200
+  deep.
 
 The digest is the first 16 hex digits of the sha-256 of `repr` of the
 result ((passed, index) for an audit), of "class|message" for a refusal,
-or of (exit code, stdout, stderr) for a command.
+or of (exit code, stdout, stderr) for a command.  A call whose result is a
+set is written as `sorted(...)`, so that its digest does not depend on the
+string hash seed.
 
-    PYTHONPATH=src python tests/test_rate_corpus.py --full
+    PYTHONPATH=src python tests/test_rate_corpus.py --full [SLICE]
 
-checks every row.  `--write` draws the rows again and overwrites the file;
-run it only for a deliberate behaviour change, and list each changed case
-family in CHANGES.md.  Never regenerate the file to hide a difference.
+checks every row of one slice ("rate" when none is named).  `--write
+SLICE` draws the rows again and overwrites the slice's file; run it only
+for a deliberate behaviour change, and list each changed case family in
+CHANGES.md.  Never regenerate a file to hide a difference.
 """
 
 import contextlib
@@ -26,12 +43,14 @@ import io
 import json
 import os
 import random
+import re
 import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 from metastable import (
+    MeasureStructure,
     MetastableError,
     Sampling,
     SequenceSpec,
@@ -39,6 +58,8 @@ from metastable import (
     check_rate,
     family_to_json,
     format_rational,
+    linf_to_json,
+    measure_to_json,
     metastable_witness,
     monotone_uniform_rate,
     osc_eta_exact,
@@ -50,19 +71,141 @@ from metastable.cli import main as cli_main
 from metastable.generators import (
     alternating_sequence,
     random_coherent_family,
+    random_finite_structure,
+    random_formula,
+    random_linf,
     random_monotone_family,
     random_monotone_sequence,
+    random_positive_measure,
+    random_probability_measure,
+    random_signed_measure,
     random_tail_sequence,
     staircase_family,
     staircase_sequence,
     step_sequence,
 )
+from metastable.henson import (
+    REAL,
+    And,
+    AtomGe,
+    AtomLe,
+    Const,
+    Exists,
+    Forall,
+    Lit,
+    Or,
+    Signature,
+    Var,
+    apply,
+    approx_satisfies,
+    critical_values,
+    encode_sequence_window,
+    format_formula,
+    free_vars,
+    is_approximation,
+    parse_formula,
+    relax,
+    satisfies,
+    structure_to_json,
+    weak_negation,
+    wneg_xi,
+    xi_E,
+)
 from metastable.netcore import AuditResult, _grid_witnesses
 
 CORPUS = Path(__file__).with_name("rate_corpus.json")
 SEED = 2026
-# the tier-1 test checks every STRIDE-th row; --full checks them all
+LOGIC_CORPUS = Path(__file__).with_name("logic_measure_corpus.json")
+LOGIC_SEED = 2027
+# the tier-1 tests check every STRIDE-th row; --full checks them all
 STRIDE = 2
+
+# the signature of generators.random_finite_structure
+ONE = Signature(sorts=("X",), functions={"h": (("X",), REAL)},
+                constants={"b": "X"}, anchors={"X": "a"})
+TWO = Signature(sorts=("X", "Y"),
+                functions={"f": (("X",), "Y"), "g": (("Y",), REAL),
+                           "h": (("X", "Y"), REAL)},
+                constants={"a": "X", "b": "Y"})
+_RADII = (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2))
+
+
+def tree(seed: int, depth: int):
+    """A random formula over TWO whose variables x, y, z take either sort,
+    so binders shadow names at the same sort and at the other one, and
+    some occurrences stay free."""
+    rng = random.Random(seed)
+
+    def point(sort, d):
+        roll = rng.random()
+        if roll < 0.5:
+            return Var(rng.choice("xyz"), sort)
+        if sort == "Y" and d > 0 and roll < 0.7:
+            return apply(TWO, "f", point("X", d - 1))
+        return Const("a" if sort == "X" else "b", sort)
+
+    def real(d):
+        roll = rng.random()
+        if d <= 0 or roll < 0.4:
+            return pick_atom_term(d)
+        if roll < 0.5:
+            return Lit(Fraction(rng.randint(-4, 8), rng.randint(1, 4)))
+        op = rng.choice(("add", "sub", "mul", "min", "max", "abs"))
+        args = (real(d - 1),) if op == "abs" else (real(d - 1), real(d - 1))
+        return apply(TWO, op, *args)
+
+    def pick_atom_term(d):
+        kind = rng.randrange(4)
+        if kind == 0:
+            return apply(TWO, "g", point("Y", d))
+        if kind == 1:
+            return apply(TWO, "h", point("X", d), point("Y", d))
+        sort = "X" if kind == 2 else "Y"
+        return apply(TWO, "d", point(sort, d), point(sort, d))
+
+    def formula(d):
+        roll = rng.random()
+        if d > 0 and roll < 0.35:
+            node = rng.choice((Exists, Forall))
+            return node(rng.choice(_RADII), Var(rng.choice("xyz"),
+                                                rng.choice("XY")),
+                        formula(d - 1))
+        if d > 0 and roll < 0.7:
+            return rng.choice((And, Or))(formula(d - 1), formula(d - 1))
+        bound = Fraction(rng.randint(-2, 6), rng.randint(1, 4))
+        return rng.choice((AtomLe, AtomGe))(real(1), bound)
+
+    return formula(depth)
+
+
+# valid documents that the malformed ones of the logic-measure slice vary
+STRUCTURE = {"sorts": {"X": {"points": ["p", "q"],
+                             "metric": [["0", "1"], ["1", "0"]],
+                             "anchor": "p"}},
+             "functions": {"a": {"domain": [], "range": "X", "value": "p"}},
+             "anchor_constants": {"X": "a"}}
+MEASURE = {"omega": ["w0", "w1"], "weights": {"w0": "1/3", "w1": "2/3"},
+           "algebra": "powerset", "kind": "probability"}
+
+
+def explicit_measure(seed: int, n: int, blocks: int, kind: str,
+                     broken: bool = False) -> MeasureStructure:
+    """A measure on the algebra generated by a random partition into
+    blocks; `broken` drops the sets that miss the first block but one."""
+    rng = random.Random(seed)
+    base = {"probability": random_probability_measure,
+            "finite": random_positive_measure,
+            "signed": random_signed_measure}[kind](rng, n)
+    labels = list(base.omega)
+    rng.shuffle(labels)
+    cuts = sorted(rng.sample(range(1, n), blocks - 1))
+    parts = [frozenset(labels[a:b]) for a, b in zip([0] + cuts, cuts + [None])]
+    sets = [frozenset().union(*(B for i, B in enumerate(parts) if m >> i & 1))
+            for m in range(1 << blocks)]
+    if broken:
+        sets = [A for A in sets if parts[0] <= A or not A]
+    return MeasureStructure(omega=base.omega, weights=base.weights, kind=kind,
+                            algebra=tuple(sets))
 
 
 def csv_text(seq: SequenceSpec) -> str:
@@ -71,13 +214,21 @@ def csv_text(seq: SequenceSpec) -> str:
 
 NAMESPACE = {"__builtins__": {}, "range": range, "F": Fraction,
              "Random": random.Random, "Sampling": Sampling,
-             "csv_text": csv_text}
+             "csv_text": csv_text, "sorted": sorted, "dict": dict,
+             "ONE": ONE, "TWO": TWO, "STRUCTURE": STRUCTURE, "MEASURE": MEASURE}
 NAMESPACE.update((f.__name__, f) for f in (
     alternating_sequence, brute_min_uniform_rate, check_rate, family_to_json,
     metastable_witness, monotone_uniform_rate, osc_eta_exact,
     random_coherent_family, random_monotone_family, random_monotone_sequence,
     random_tail_sequence, rate_witness, sequence_to_json, staircase_family,
-    staircase_sequence, step_sequence, uniform_rate_audit, _grid_witnesses))
+    staircase_sequence, step_sequence, uniform_rate_audit, _grid_witnesses,
+    # the logic and measure slice
+    approx_satisfies, critical_values, encode_sequence_window,
+    explicit_measure, format_formula, free_vars, is_approximation,
+    linf_to_json, measure_to_json, parse_formula, random_finite_structure,
+    random_formula, random_linf, random_positive_measure,
+    random_probability_measure, random_signed_measure, relax, satisfies,
+    structure_to_json, tree, weak_negation, wneg_xi, xi_E, And, AtomLe, Lit))
 
 
 def _digest(text: str) -> str:
@@ -87,7 +238,8 @@ def _digest(text: str) -> str:
 def lib_digest(call: str) -> str:
     try:
         result = eval(call, NAMESPACE)
-    except (MetastableError, ValueError, KeyError, IndexError) as err:
+    except (MetastableError, ValueError, KeyError, IndexError,
+            TypeError) as err:
         return _digest(f"{type(err).__name__}|{err}")
     if isinstance(result, AuditResult):
         result = (result.passed, result.index)
@@ -127,12 +279,19 @@ def mismatches(rows: list) -> list:
     return found
 
 
-def load_rows() -> list:
-    return json.loads(CORPUS.read_text())
+def load_rows(path: Path = CORPUS) -> list:
+    return json.loads(path.read_text())
 
 
 def test_rate_corpus_subset_is_unchanged():
     rows = load_rows()
+    assert len(rows) > 2000
+    bad = mismatches(rows[::STRIDE])
+    assert not bad, "\n".join(bad[:20])
+
+
+def test_logic_measure_corpus_subset_is_unchanged():
+    rows = load_rows(LOGIC_CORPUS)
     assert len(rows) > 2000
     bad = mismatches(rows[::STRIDE])
     assert not bad, "\n".join(bad[:20])
@@ -298,17 +457,359 @@ def draw_rows(rng: random.Random) -> list:
     return rows
 
 
-def write(rows: list) -> None:
+def draw_logic_measure_rows(rng: random.Random) -> list:
+    """The logic-measure cases, without digests, in a fixed order."""
+    pick = rng.choice
+    rows = []
+
+    def lib(call):
+        rows.append(["lib", call])
+
+    def cli(argv, files=None):
+        rows.append(["cli", argv, files or {}])
+
+    # the formula calculus on generator formulas and structures
+    deltas = ["F(1, 3)", "1", "'1/2'", "F(1, 8)", "F(5, 2)"]
+    for s in range(120):
+        depth = 1 + s % 4
+        phi = f"random_formula(Random({s}), ONE, {depth})"
+        M = f"random_finite_structure(Random({s}), {2 + s % 5})"
+        d = pick(deltas)
+        other = pick([phi, f"weak_negation({phi})",
+                      f"random_formula(Random({s + 1}), ONE, {depth})"])
+        lib(f"format_formula({phi})")
+        lib(f"weak_negation({phi})")
+        lib(f"relax({phi}, {pick(deltas + ['0', 'F(-1, 4)', repr('x')])})")
+        lib(f"is_approximation({phi}, relax({phi}, {d}))")
+        lib(f"is_approximation(relax({phi}, {d}), {phi})")
+        lib(f"is_approximation({phi}, {other})")
+        lib(f"sorted(critical_values({M}, {phi}))")
+        lib(f"{pick(['satisfies', 'approx_satisfies'])}({M}, {phi})")
+    # two-sort trees: free variables, binders shadowing at either sort
+    fractions = [f"F({a}, {b})" for a, b in ((1, 8), (1, 4), (1, 2), (1, 1),
+                                              (3, 2), (3, 1))]
+    for s in range(200):
+        depth = 1 + s % 5
+        t = f"tree({s}, {depth})"
+        small, large = sorted(rng.sample(fractions, 2),
+                              key=lambda q: eval(q, NAMESPACE))
+        other = pick([t, f"tree({s + 1}, {depth})", f"weak_negation({t})",
+                      f"weak_negation(relax({t}, {large}))"])
+        lib(f"sorted(free_vars({t}))")
+        lib(f"sorted(free_vars(weak_negation({t})))")
+        lib(f"format_formula({t})")
+        lib(f"weak_negation({t})")
+        lib(f"relax({t}, {small})")
+        lib(f"is_approximation(relax({t}, {small}), relax({t}, {large}))")
+        lib(f"is_approximation({t}, {other})")
+    # free variables bound by an assignment
+    texts = ["d(x, a) <= 1", "(d(x, b) <= 1/2 | h(x) >= 0)",
+             "E 1 y. d(x, y) <= 1", "A 2 x. (d(x, a) <= 1 & h(x) >= -1)",
+             "(E 1 x. h(x) >= 0 & d(x, b) <= 1)", "add(r, h(b)) <= 1",
+             "(max(r, h(x)) >= 1/2 | d(x, a) <= 0)", "mul(r, r) <= 2",
+             "E 3/2 r. d(r, x) <= 1"]
+    assignments = [{}, {"x": "p0"}, {"x": "p1", "r": "1/2"}, {"x": "zz"},
+                   {"r": "x"}, {"x": "p0", "r": 3}, {"r": "-1/3"},
+                   {"x": "zz", "r": "1"}, {"x": "p2", "r": "x"}]
+    for text in texts:
+        free = {v for v in ("x", "r") if re.search(rf"\b{v}\b", text)}
+        if re.match(r"[EA] [0-9/]+ (\w)\.", text):
+            free.discard(re.match(r"[EA] [0-9/]+ (\w)\.", text)[1])
+        for k, env in enumerate(assignments):
+            # at most one variable missing or bad: which one a refusal names
+            # must not depend on the set order of the free variables
+            bad = [v for v in free if env.get(v, "zz") in ("zz", "x")]
+            if len(bad) > 1:
+                continue
+            M = f"random_finite_structure(Random({k}), 3)"
+            call = pick(["satisfies", "approx_satisfies", "critical_values"])
+            expr = f"{call}({M}, parse_formula({text!r}, ONE), {env!r})"
+            lib(f"sorted({expr})" if call == "critical_values" else expr)
+    for call in ["weak_negation(1)", "format_formula('x')",
+                 "sorted(free_vars(None))", "relax(Lit(1), 1)",
+                 "is_approximation(3, 3)",
+                 "is_approximation(AtomLe(Lit(1), 2), 3)",
+                 "is_approximation(AtomLe(Lit(1), 2), AtomLe(Lit(1), 3))",
+                 "weak_negation(And(AtomLe(Lit(1), 2), 5))",
+                 "sorted(free_vars(And(AtomLe(Lit(1), 2), 'x')))",
+                 "format_formula(And(AtomLe(Lit(1), 2), None))",
+                 "relax(And(AtomLe(Lit(1), 2), 5), 1)",
+                 "is_approximation(And(AtomLe(Lit(1), 2), 5), "
+                 "And(AtomLe(Lit(1), 3), 5))"]:
+        lib(call)
+
+    # logic check and parse on generator structures
+    modes = [[], ["--mode", "discrete"], ["--mode", "approx"]]
+    for s in range(260):
+        files = {"m.json": "structure_to_json(random_finite_structure("
+                           f"Random({s}), {2 + s % 6}))"}
+        text = format_formula(eval(f"random_formula(Random({s + 5000}), ONE, "
+                                   f"{1 + s % 4})", NAMESPACE))
+        if s % 5 == 4:  # drop, double or swap one character
+            i = rng.randrange(len(text))
+            text = pick([text[:i] + text[i + 1:], text[:i] + text[i] + text[i:],
+                         text[:i] + text[i + 1:i + 2] + text[i] + text[i + 2:]])
+        if s % 3 == 2:
+            cli(["logic", "parse", "--structure", "m.json", "--formula", text],
+                files)
+        else:
+            cli(["logic", "check", "--structure", "m.json", "--formula", text]
+                + pick(modes) + pick([[], ["--json"]]), files)
+    for k, text in enumerate(texts * 6):
+        assign = pick(["x=p0", "x=p1,r=1/2", " x = p0 , r = 2 ", "x=zz",
+                       "r=x,x=p0", "x=p0,r=1/2,q=3", "x", "r=0.25,x=p1"])
+        free = {v for v in ("x", "r") if re.search(rf"\b{v}\b", text)}
+        env = dict(part.partition("=")[::2] for part in assign.split(","))
+        env = {n.strip(): v.strip() for n, v in env.items()}
+        if len([v for v in free if env.get(v, "zz") in ("zz", "x", "")]) > 1:
+            continue
+        cli(["logic", "check", "--structure", "m.json", "--formula", text,
+             "--assign", assign] + pick(modes) + pick([[], ["--json"]]),
+            {"m.json": "structure_to_json(random_finite_structure("
+                       f"Random({k}), 3))"})
+    # logic check and parse on window structures
+    for s in range(150):
+        upto = rng.randint(3, 14)
+        seq = pick([f"random_tail_sequence(Random({s}), max_prefix=12)",
+                    f"random_monotone_sequence(Random({s}), max_prefix=12)"])
+        files = {"w.json": f"structure_to_json(encode_sequence_window("
+                           f"{seq}, {upto})[1])"}
+        c = rng.randint(1, 3)
+        last = upto - c + (rng.random() < 0.1)  # past the window: refused
+        t = f"F({rng.randint(0, 24)}, 16)"
+        if rng.random() < 0.5:
+            lo = rng.randint(0, last)
+            E = list(range(lo, min(last, lo + rng.randint(0, 4)) + 1))
+            phi = f"xi_E(Sampling(k=1, c={c}), {E}, {t})"
+        else:
+            phi = f"wneg_xi(Sampling(k=1, c={c}), {rng.randint(0, last)}, {t})"
+        text = format_formula(eval(phi, NAMESPACE))
+        if s % 4 == 3:
+            cli(["logic", "parse", "--structure", "w.json", "--formula", text],
+                files)
+        else:
+            cli(["logic", "check", "--structure", "w.json", "--formula", text]
+                + pick(modes) + pick([[], ["--json"]]), files)
+
+    # measure audit, integrate and measurable
+    makers = ["random_probability_measure", "random_positive_measure",
+              "random_signed_measure"]
+    kinds = ["probability", "finite", "signed"]
+    for s in range(240):
+        n = 1 + s % 5
+        mu = pick([f"{pick(makers)}(Random({s}), {n})"] * 2 + [
+            f"explicit_measure({s}, {n + 3}, {rng.randint(2, 4)}, "
+            f"{pick(kinds)!r}, {rng.random() < 0.3})"])
+        doc = pick([f"measure_to_json({mu})"] * 4 + [
+            f"dict(measure_to_json({mu}), kind={pick(kinds)!r})",
+            f"dict(measure_to_json({mu}), bound={pick(['1/2', '1', '3'])!r})"])
+        files = {"mu.json": doc}
+        flags = pick([[], ["--json"]])
+        command = s % 3
+        if command == 0:
+            cli(["measure", "audit", "--file", "mu.json"] + flags, files)
+            continue
+        omega = pick([f"{mu}.omega"] * 5 + ["['w0']"]) if command == 1 \
+            else f"{mu}.omega"  # which missing label it names is set order
+        files["f.json"] = (f"linf_to_json(random_linf(Random({s + 1}), "
+                           f"{omega}))")
+        if command == 1:
+            cli(["measure", "integrate", "--file", "mu.json", "--function",
+                 "f.json"] + flags, files)
+            continue
+        u = Fraction(rng.randint(-16, 8), 8)
+        v = u + Fraction(rng.randint(-2, 16), 8)
+        cli(["measure", "measurable", "--file", "mu.json", "--function",
+             "f.json", f"--u={format_rational(u)}",
+             f"--v={format_rational(v)}"] + flags, files)
+
+    # malformed documents, one per field and bad-value shape
+    analyze = ["analyze", "--eps", "1/2", "--F", "n+1", "--E", "0..3"]
+    for doc in ["[]", "3", "'x'", "None", "{}", "{'prefix': 3}",
+                "{'prefix': '1,2'}", "{'prefix': None}", "{'prefix': [{}]}",
+                "{'prefix': [[]]}", "{'prefix': [[1, {}]]}",
+                "{'prefix': [True]}", "{'prefix': ['x']}",
+                "{'prefix': [1, [1, 2]]}", "{'prefix': []}",
+                "{'prefix': ['1/0']}", "{'prefix': ['1e99999']}",
+                "{'prefix': [0.5, '0.25']}", "{'prefix': [1], 'mode': 'x'}",
+                "{'prefix': [1], 'tail': 3}", "{'prefix': [1], 'tail': {}}",
+                "{'prefix': [1], 'tail': {'constant': False}}",
+                "{'prefix': [1], 'tail': {'period': '2'}}",
+                "{'prefix': [1], 'tail': {'period': True}}",
+                "{'prefix': [1], 'tail': {'period': 0}}",
+                "{'prefix': [1, 2], 'tail': {'period': 3}}",
+                "{'prefix': [1], 'bound': {}}", "{'prefix': [1], 'bound': 'x'}",
+                "{'prefix': [1], 'bound': -1}", "{'prefix': [2], 'bound': 1}",
+                "{'prefix': [[1, 2], [1]]}"]:
+        cli(analyze + ["--seq", "s.json"], {"s.json": doc})
+    for text in ["''", "'1\\n2, 3\\n'", "'x\\n'", "'1\\n\\n2\\n'", "'1/0\\n'",
+                 "'\"1,2\"\\n'", "'1;2\\n'", "' 1 \\n,2\\n'"]:
+        cli(analyze + ["--seq", "s.csv"], {"s.csv": text})
+    seq_file = {"s.json": "sequence_to_json(random_monotone_sequence("
+                          "Random(1)))"}
+    for spec in ["{}", '{"sampling": 3}', '{"sampling": {"0": [0, "1"]}}',
+                 '{"sampling": {"0": [-1]}}', '{"sampling": {"0": [true]}}',
+                 '{"sampling": {"01": [1]}}', '{"sampling": {"x": [1]}}',
+                 '{"sampling": {"0": []}}', '{"sampling": {"1": [0]}}',
+                 '{"F": 3}', '{"F": "2n"}', '{"F": "n+x"}',
+                 '{"F": {"affine": 3}}', '{"F": {"affine": {"w": -1}}}',
+                 '{"F": {"affine": {"w": true}}}', '{"F": {}}',
+                 '{"F": {"affine": {"w": 2, "from": 9}}}', '{"F": "0n+1"}',
+                 '{"sampling": {"0": [0, 1]}', "n+", "kn+1"]:
+        cli(["analyze", "--seq", "s.json", "--eps", "1/2", "--F", spec,
+             "--E", "0"], seq_file)
+    for doc in ["[1]", "3", "None", "'n+1'", "{'sampling': {'0': [0.5]}}"]:
+        cli(["analyze", "--seq", "s.json", "--eps", "1/2", "--F", "@f.json",
+             "--E", "0"], dict(seq_file, **{"f.json": doc}))
+    for doc in ["'x'", "[1, 'a']", "[True]", "{'E': 3}", "{'E': [1, 2.5]}",
+                "{}", "[]", "[-1]", "{'E': [0, 1]}", "None"]:
+        cli(["analyze", "--seq", "s.json", "--eps", "1/2", "--F", "n+1",
+             "--E", "@e.json"], dict(seq_file, **{"e.json": doc}))
+    for doc in ["[]", "{}", "3", "{'omega': 3, 'weights': {}}",
+                "dict(MEASURE, omega=['w0', True])",
+                "dict(MEASURE, omega=['w0', 1.5])", "dict(MEASURE, omega=[])",
+                "dict(MEASURE, omega=['w0', 'w0'])",
+                "dict(MEASURE, omega=[0, 1], weights={'0': 1, '1': 0})",
+                "dict(MEASURE, weights=[])", "dict(MEASURE, weights=None)",
+                "dict(MEASURE, weights={'w0': 'x', 'w1': 1})",
+                "dict(MEASURE, weights={'w0': 1})",
+                "dict(MEASURE, weights={'w0': 1, 'w1': 0, 'w2': 5})",
+                "dict(MEASURE, algebra='all')", "dict(MEASURE, algebra=3)",
+                "dict(MEASURE, algebra=[['w0'], 'w1'])",
+                "dict(MEASURE, algebra=[['w0', True]])",
+                "dict(MEASURE, algebra=[['zz']])",
+                "dict(MEASURE, algebra=[[], ['w0'], ['w1'], ['w0', 'w1']])",
+                "dict(MEASURE, kind='weird')", "dict(MEASURE, kind=None)",
+                "dict(MEASURE, anchor='zz')", "dict(MEASURE, anchor='w1')",
+                "dict(MEASURE, bound='x')", "dict(MEASURE, bound={})",
+                "dict(MEASURE, bound='1/2')"]:
+        cli(["measure", "audit", "--file", "mu.json"], {"mu.json": doc})
+    for doc in ["[]", "3", "None", "{'values': []}", "{'values': 3}",
+                "{'values': {'w0': 'x', 'w1': 1}}", "{'w0': 1}",
+                "{'w0': 1, 'w1': '1/2'}", "{'values': {}}",
+                "{'values': {'w0': 1, 'w1': 2, 'zz': 3}}",
+                "{'values': {'w0': True, 'w1': 0}}"]:
+        for argv in (["integrate"], ["measurable", "--u", "0", "--v", "1"]):
+            cli(["measure"] + argv + ["--file", "mu.json", "--function",
+                                      "f.json"],
+                {"mu.json": "MEASURE", "f.json": doc})
+    slices = ("{'w0': sequence_to_json(random_monotone_sequence(Random(1))), "
+              "'w1': sequence_to_json(random_monotone_sequence(Random(2)))}")
+    for doc in ["[]", "{}", "3", "{'measure': 3, 'slices': {}}",
+                "{'measure': MEASURE}", f"{{'slices': {slices}}}",
+                "{'measure': MEASURE, 'slices': 3}",
+                "{'measure': MEASURE, 'slices': {'w0': [], 'w1': []}}",
+                "{'measure': MEASURE, 'slices': {'w0': "
+                "sequence_to_json(random_monotone_sequence(Random(1)))}}",
+                f"{{'measure': MEASURE, 'slices': {slices}, 'norm_phi': 'x'}}",
+                f"{{'measure': MEASURE, 'slices': {slices}, 'norm_phi': -1}}",
+                f"{{'measure': MEASURE, 'slices': {slices}, "
+                f"'norm_phi': '1/4'}}",
+                f"{{'measure': dict(MEASURE, kind='x'), 'slices': {slices}}}",
+                f"{{'measure': MEASURE, 'slices': dict({slices}, "
+                f"w2=sequence_to_json(random_monotone_sequence(Random(3))))}}"]:
+        cli(["dct", "check", "--family", "f.json"], {"f.json": doc})
+    sort_p = "{'points': ['p'], 'metric': [['0']], 'anchor': 'p'}"
+    for doc in ["[]", "3", "{}", "dict(STRUCTURE, sorts=3)",
+                "dict(STRUCTURE, sorts={'X': 3})",
+                "dict(STRUCTURE, sorts={'X': {'points': 3}})",
+                "dict(STRUCTURE, sorts={'X': {'points': ['p', True]}})",
+                "dict(STRUCTURE, sorts={'X': {'points': ['p', []]}})",
+                "dict(STRUCTURE, sorts={'X': {'points': ['p']}})",
+                "dict(STRUCTURE, sorts={'X': {'points': ['p'], "
+                "'metric': [['0', '1']], 'anchor': 'p'}})",
+                "dict(STRUCTURE, sorts={'X': {'points': ['p'], "
+                "'metric': ['0'], 'anchor': 'p'}})",
+                "dict(STRUCTURE, sorts={'X': {'points': [], 'metric': [], "
+                "'anchor': 'p'}})",
+                "dict(STRUCTURE, sorts={'X': {'points': ['p'], "
+                "'metric': [['x']], 'anchor': 'p'}})",
+                "dict(STRUCTURE, sorts={'X': {'points': ['p', 'q'], "
+                "'metric': [['0', '-1'], ['-1', '0']], 'anchor': 'p'}})",
+                "dict(STRUCTURE, sorts={'X': {'points': ['p', 'q'], "
+                "'metric': [['0', '1'], ['2', '0']], 'anchor': 'p'}})",
+                "dict(STRUCTURE, sorts={'X': {'points': ['p', 'q'], "
+                "'metric': [['0', '0'], ['0', '0']], 'anchor': 'p'}})",
+                "dict(STRUCTURE, sorts={'X': {'points': ['p', 'q'], "
+                "'metric': [['1', '1'], ['1', '0']], 'anchor': 'p'}})",
+                "dict(STRUCTURE, sorts={'X': {'points': ['p', 'q', 'r'], "
+                "'metric': [['0', '1', '3'], ['1', '0', '1'], "
+                "['3', '1', '0']], 'anchor': 'p'}})",
+                "dict(STRUCTURE, sorts={'X': {'points': ['p', 'q'], "
+                "'metric': [['0', 1], [1, '0']], 'anchor': 'p'}})",
+                "dict(STRUCTURE, sorts={'X': {'points': ['p'], "
+                "'metric': [['0']]}})",
+                "dict(STRUCTURE, sorts={'X': {'points': ['p'], "
+                "'metric': [['0']], 'anchor': 'z'}})",
+                "dict(STRUCTURE, sorts={'X': {'points': ['p'], "
+                "'metric': [['0']], 'anchor': True}})",
+                f"dict(STRUCTURE, sorts={{'R': {sort_p}}}, functions={{}}, "
+                "anchor_constants={})",
+                "dict(STRUCTURE, functions=3)",
+                "dict(STRUCTURE, functions={'a': 3})",
+                "dict(STRUCTURE, functions={'a': {'domain': 3, "
+                "'range': 'X', 'value': 'p'}})",
+                "dict(STRUCTURE, functions={'a': {'domain': [True], "
+                "'range': 'X', 'value': 'p'}})",
+                "dict(STRUCTURE, functions={'a': {'domain': [], "
+                "'range': 3, 'value': 'p'}})",
+                "dict(STRUCTURE, functions={'a': {'domain': [], "
+                "'range': 'X'}})",
+                "dict(STRUCTURE, functions={'a': {'domain': [], "
+                "'range': 'X', 'value': 'zz'}})",
+                "dict(STRUCTURE, functions={'a': {'domain': [], "
+                "'range': 'Z', 'value': 'p'}})",
+                "dict(STRUCTURE, functions={'a': {'domain': [], "
+                "'range': 'X', 'value': 'q'}})",
+                "dict(STRUCTURE, functions={'a': {'domain': [], "
+                "'range': 'X', 'value': 'p'}, 'f': {'domain': ['X'], "
+                "'range': 'X', 'table': 3}})",
+                "dict(STRUCTURE, functions={'a': {'domain': [], "
+                "'range': 'X', 'value': 'p'}, 'f': {'domain': ['X'], "
+                "'range': 'X', 'table': {'p': 'p'}}})",
+                "dict(STRUCTURE, functions={'a': {'domain': [], "
+                "'range': 'X', 'value': 'p'}, 'f': {'domain': ['X'], "
+                "'range': 'R', 'table': {'p': 'x', 'q': '1'}}})",
+                "dict(STRUCTURE, functions={'a': {'domain': [], "
+                "'range': 'X', 'value': 'p'}, 'f': {'domain': ['R'], "
+                "'range': 'X', 'table': {}}})",
+                "dict(STRUCTURE, functions={'a': {'domain': [], "
+                "'range': 'X', 'value': 'p'}, 'd': {'domain': [], "
+                "'range': 'R', 'value': '1'}})",
+                "dict(STRUCTURE, functions={'a': {'domain': [], "
+                "'range': 'X', 'value': 'p'}, 'f': {'domain': ['X'], "
+                "'range': 'X', 'table': {'p': 'q', 'q': 'p', 'r': 'p'}}})",
+                "dict(STRUCTURE, anchor_constants=3)",
+                "dict(STRUCTURE, anchor_constants={'X': 3})",
+                "dict(STRUCTURE, anchor_constants={'X': 'zz'})",
+                "dict(STRUCTURE, anchor_constants={'Z': 'a'})",
+                "dict(STRUCTURE, anchor_constants=None)"]:
+        cli(["logic", "check", "--structure", "m.json", "--formula",
+             "d(a, a) <= 0"], {"m.json": doc})
+    return rows
+
+
+# slice name -> (file, seed, drawing function)
+SLICES = {"rate": (CORPUS, SEED, draw_rows),
+          "logic-measure": (LOGIC_CORPUS, LOGIC_SEED, draw_logic_measure_rows)}
+
+
+def write(path: Path, rows: list) -> None:
     lines = [json.dumps(row + [row_digest(row)], ensure_ascii=False)
              for row in rows]
-    CORPUS.write_text("[\n" + ",\n".join(lines) + "\n]\n")
+    path.write_text("[\n" + ",\n".join(lines) + "\n]\n")
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] == ["--write"]:
-        write(draw_rows(random.Random(SEED)))
-    elif sys.argv[1:] == ["--full"]:
-        all_rows = load_rows()
+    args = sys.argv[1:] + ["rate"] * (len(sys.argv) == 2)
+    mode, name = args if len(args) == 2 else (None, None)
+    if name not in SLICES:
+        sys.exit(__doc__)
+    path, seed, draw = SLICES[name]
+    if mode == "--write":
+        write(path, draw(random.Random(seed)))
+    elif mode == "--full":
+        all_rows = load_rows(path)
         failures = mismatches(all_rows)
         print("\n".join(failures) or f"{len(all_rows)} cases unchanged")
         sys.exit(1 if failures else 0)
