@@ -233,8 +233,6 @@ def cmd_dct_check(args) -> int:
 
 
 def cmd_dct_search(args) -> int:
-    if args.cls != "monotone":
-        raise MetastableError(f"unknown class {args.cls!r}")
     if args.count < 0:
         raise ValueError(f"--count must be >= 0, got {args.count}")
     eta = _parse_sampling(args.F)
@@ -348,8 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     dcheck.add_argument("--family", required=True, help="family JSON file")
     dcheck.add_argument("--json", action="store_true")
     dcheck.set_defaults(func=cmd_dct_check)
-    dsearch = dct_sub.add_parser("search", help="metastable rate search")
-    dsearch.add_argument("--class", dest="cls", default="monotone")
+    dsearch = dct_sub.add_parser(
+        "search", help="metastable rate search over the monotone slice class")
     dsearch.add_argument("--F", required=True)
     dsearch.add_argument("--eps", required=True, help="comma-separated grid")
     dsearch.add_argument("--count", type=int, default=50,

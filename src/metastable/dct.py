@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Tuple
 
 from .directed import Sampling
-from .errors import IncoherentTails, MalformedInput, PreconditionViolated
+from .errors import IncoherentTails, PreconditionViolated, expect, json_object
 from .measure import MeasureStructure, measure_from_json, measure_to_json
 # check_rate and brute_min_uniform_rate stay importable: bench/ wraps them
 from .netcore import (  # noqa: F401
@@ -222,16 +222,11 @@ def family_to_json(fam: DirectedFamily) -> dict:
 def family_from_json(data: dict) -> DirectedFamily:
     """The inverse of family_to_json; MalformedInput, naming the field, on
     any other shape."""
-    if not isinstance(data, dict):
-        raise MalformedInput(
-            f"a family is a JSON object, not a {type(data).__name__}")
-    measure, slices = data.get("measure"), data.get("slices")
-    if not isinstance(measure, dict):
-        raise MalformedInput(
-            f'"measure" must be a measure object, got {measure!r}')
-    if not isinstance(slices, dict):
-        raise MalformedInput(
-            f'"slices" must map sample points to sequences, got {slices!r}')
+    data = json_object(data, "family")
+    measure = expect(data.get("measure"), dict, "measure",
+                     "be a measure object")
+    slices = expect(data.get("slices"), dict, "slices",
+                    "map sample points to sequences")
     return DirectedFamily(
         measure=measure_from_json(measure),
         slices={w: sequence_from_json(s) for w, s in slices.items()},

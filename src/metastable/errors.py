@@ -48,6 +48,22 @@ class MalformedInput(MetastableError):
     """An input document does not follow its file format."""
 
 
+def json_object(data, what: str) -> dict:
+    """data if it is a JSON object; MalformedInput if not."""
+    if isinstance(data, dict):
+        return data
+    raise MalformedInput(
+        f"a {what} is a JSON object, not a {type(data).__name__}")
+
+
+def expect(value, types, field: str, what: str):
+    """value if it is an instance of types (a bool is no number or label);
+    MalformedInput naming the field if not: '"field" must <what>'."""
+    if isinstance(value, types) and not isinstance(value, bool):
+        return value
+    raise MalformedInput(f'"{field}" must {what}, got {value!r}')
+
+
 # -- formulas ---------------------------------------------------------------
 
 class FormulaSyntaxError(MetastableError):

@@ -42,31 +42,31 @@ def _pairs(window) -> list:
     return list(combinations(indices, 2)) or [(indices[0], indices[0])]
 
 
-def xi_formula(eta: Sampling, i: int, t, net: str = NET_SYMBOL) -> Formula:
+def xi_formula(eta: Sampling, i: int, t) -> Formula:
     """Conjunction asserting all pairwise gaps within eta_i are <= t."""
     window, t = eta.eta(i), parse_rational(t)
     # one s(c_j) term per index, shared by every atom that reads it
-    terms = {j: App(net, (Const(f"{CONST_PREFIX}{j}", DIRECTED_SORT),), REAL)
+    terms = {j: App(NET_SYMBOL,
+                    (Const(f"{CONST_PREFIX}{j}", DIRECTED_SORT),), REAL)
              for j in window}
     return conj([AtomLe(App(METRIC, (terms[j], terms[jp]), REAL), t)
                  for j, jp in _pairs(window)])
 
 
-def wneg_xi(eta: Sampling, i: int, t, net: str = NET_SYMBOL) -> Formula:
+def wneg_xi(eta: Sampling, i: int, t) -> Formula:
     """Disjunction asserting some pairwise gap within eta_i is >= t."""
-    return weak_negation(xi_formula(eta, i, t, net))
+    return weak_negation(xi_formula(eta, i, t))
 
 
-def xi_E(eta: Sampling, E: Iterable[int], t, net: str = NET_SYMBOL) -> Formula:
+def xi_E(eta: Sampling, E: Iterable[int], t) -> Formula:
     """Disjunction over the witness set E of the window formulas."""
     E = sorted(set(E))
     if not E:
         raise EmptyRate("no sequence has an empty rate")
-    return disj([xi_formula(eta, i, t, net) for i in E])
+    return disj([xi_formula(eta, i, t) for i in E])
 
 
-def encode_sequence_window(seq: SequenceSpec, upto: int,
-                           net: str = NET_SYMBOL
+def encode_sequence_window(seq: SequenceSpec, upto: int
                            ) -> Tuple[Signature, FiniteStructure]:
     """A finite structure holding the sequence values on indices 0..upto.
 
@@ -85,12 +85,12 @@ def encode_sequence_window(seq: SequenceSpec, upto: int,
     constants = {f"{CONST_PREFIX}{n}": DIRECTED_SORT for n in indices}
     signature = Signature(
         sorts=(DIRECTED_SORT,),
-        functions={net: ((DIRECTED_SORT,), REAL)},
+        functions={NET_SYMBOL: ((DIRECTED_SORT,), REAL)},
         constants=constants,
         anchors={DIRECTED_SORT: f"{CONST_PREFIX}0"},
     )
     interps = {f"{CONST_PREFIX}{n}": str(n) for n in indices}
-    interps[net] = {(str(n),): values[n] for n in indices}
+    interps[NET_SYMBOL] = {(str(n),): values[n] for n in indices}
     structure = FiniteStructure(
         signature, {DIRECTED_SORT: discrete_sort(points, anchor="0")}, interps
     )

@@ -12,11 +12,13 @@ Grammar (UTF-8 text, whitespace-insensitive):
     rational := integer | integer "/" positive-integer
 
 Built-in function symbols: d, add, sub, mul, abs, min, max; d takes
-exactly two arguments.  "E" and "A" are reserved words.  Identifiers resolve
-in order: bound variable, declared constant, free variable.  Variable sorts
-are inferred from use (function domains and metric applications) once the
-whole text has parsed; anything still undetermined defaults to the
-signature's unique non-real sort.
+exactly two arguments.  "E" and "A" are reserved words.  Connectives,
+quantifiers and function applications nest at most MAX_NESTING deep; the
+one that opens level MAX_NESTING + 1 is refused at its first token.
+Identifiers resolve in order: bound variable, declared constant, free
+variable.  Variable sorts are inferred from use (function domains and
+metric applications) once the whole text has parsed; anything still
+undetermined defaults to the signature's unique non-real sort.
 """
 
 from __future__ import annotations
@@ -50,6 +52,11 @@ _TOKEN = re.compile(
 )
 
 _RESERVED = {"E", "A"}
+
+# every recursive walker (parsing, building, satisfies, format_formula,
+# weak_negation, relax) stays under Python's default recursion limit of
+# 1000 at this depth: the deepest take three frames per level
+MAX_NESTING = 200
 
 
 class Token(NamedTuple):
@@ -116,6 +123,13 @@ class _Parser:
             return Fraction(num, int(den_tok.text))
         return Fraction(num)
 
+    def nest(self, tok: Token, depth: int) -> int:
+        """The level that tok opens inside `depth` open ones, if allowed."""
+        if depth >= MAX_NESTING:
+            raise FormulaSyntaxError(
+                f"nesting deeper than MAX_NESTING = {MAX_NESTING}", tok.pos)
+        return depth + 1
+
     # slots ---------------------------------------------------------------
 
     def new_slot(self) -> int:
@@ -133,10 +147,10 @@ class _Parser:
 
     # grammar -------------------------------------------------------------
 
-    def parse_formula(self):
+    def parse_formula(self, depth: int = 0):
         tok = self.peek()
         if tok.kind == "ident" and tok.text in _RESERVED:
-            self.take()
+            depth = self.nest(self.take(), depth)
             radius = self.parse_rational()
             var_tok = self.take()
             if var_tok.kind != "ident" or var_tok.text in _RESERVED:
@@ -144,21 +158,21 @@ class _Parser:
             self.expect_op(".")
             name, slot = var_tok.text, self.new_slot()
             self.scope.append((name, slot))
-            body = self.parse_formula()
+            body = self.parse_formula(depth)
             self.scope.pop()
             node = Exists if tok.text == "E" else Forall
             return lambda: node(radius, Var(name, self.slots[slot]), body())
         if tok.kind == "op" and tok.text == "(":
-            self.take()
-            left = self.parse_formula()
+            depth = self.nest(self.take(), depth)
+            left = self.parse_formula(depth)
             op = self.take()
             if op.kind != "op" or op.text not in ("&", "|"):
                 raise FormulaSyntaxError("expected '&' or '|'", op.pos)
-            right = self.parse_formula()
+            right = self.parse_formula(depth)
             self.expect_op(")")
             node = And if op.text == "&" else Or
             return lambda: node(left(), right())
-        _, term = self.parse_term()
+        _, term = self.parse_term(depth)
         op = self.take()
         if op.kind != "op" or op.text not in ("<=", ">="):
             raise FormulaSyntaxError("expected '<=' or '>='", op.pos)
@@ -166,7 +180,7 @@ class _Parser:
         node = AtomLe if op.text == "<=" else AtomGe
         return lambda: node(term(), bound)
 
-    def parse_term(self):
+    def parse_term(self, depth: int):
         tok = self.peek()
         if tok.kind == "num":
             value = self.parse_rational()
@@ -177,10 +191,11 @@ class _Parser:
         name = tok.text
         if self.peek().kind == "op" and self.peek().text == "(":
             self.take()
-            args = [self.parse_term()]
+            depth = self.nest(tok, depth)
+            args = [self.parse_term(depth)]
             while self.peek().kind == "op" and self.peek().text == ",":
                 self.take()
-                args.append(self.parse_term())
+                args.append(self.parse_term(depth))
             self.expect_op(")")
             decl = self.sig.declared(name)
             if decl is None and name != METRIC and name not in REAL_BUILTINS:

@@ -17,7 +17,7 @@ from math import lcm
 from operator import sub
 from typing import Mapping, Optional, Tuple
 
-from ..errors import MalformedInput, SortMismatch
+from ..errors import MalformedInput, SortMismatch, expect, json_object
 from ..rationals import format_rational, parse_rational, rational_reader
 from .syntax import REAL, Signature
 
@@ -234,17 +234,9 @@ def structure_to_json(M: FiniteStructure) -> dict:
     return data
 
 
-def _expect(value, types, field: str, what: str):
-    """value if it is an instance of types (a bool is no number or label);
-    MalformedInput naming the field if not."""
-    if isinstance(value, types) and not isinstance(value, bool):
-        return value
-    raise MalformedInput(f'"{field}" must be {what}, got {value!r}')
-
-
 def _labels(value, field: str) -> list:
-    for label in _expect(value, list, field, "a list of labels"):
-        _expect(label, (str, int), field, "a list of labels")
+    for label in expect(value, list, field, "be a list of labels"):
+        expect(label, (str, int), field, "be a list of labels")
     return [str(label) for label in value]
 
 
@@ -253,14 +245,12 @@ def structure_from_json(data: dict) -> FiniteStructure:
     on any other shape.  Each field's shape is checked where it is read;
     each distinct value string is parsed once."""
     read = rational_reader()
-    if not isinstance(data, dict):
-        raise MalformedInput(
-            f"a structure is a JSON object, not a {type(data).__name__}")
+    data = json_object(data, "structure")
     sorts = {}
-    for name, spec in _expect(data.get("sorts", {}), dict, "sorts",
-                              "an object of sorts").items():
+    for name, spec in expect(data.get("sorts", {}), dict, "sorts",
+                             "be an object of sorts").items():
         field = f"sorts.{name}"
-        _expect(spec, dict, field, "an object")
+        expect(spec, dict, field, "be an object")
         points = _labels(spec.get("points"), f"{field}.points")
         matrix = spec.get("metric")
         if not (isinstance(matrix, list) and len(matrix) == len(points)
@@ -270,17 +260,17 @@ def structure_from_json(data: dict) -> FiniteStructure:
                                  f"by {len(points)} matrix, got {matrix!r}")
         metric = {(a, b): read(v) for a, row in zip(points, matrix)
                   for b, v in zip(points, row)}
-        anchor = _expect(spec.get("anchor"), (str, int), f"{field}.anchor",
-                         "a label")
+        anchor = expect(spec.get("anchor"), (str, int), f"{field}.anchor",
+                        "be a label")
         sorts[name] = SortData(tuple(points), metric, str(anchor))
     fun_decls = {}
     interps = {}
-    for name, spec in _expect(data.get("functions", {}), dict, "functions",
-                              "an object of symbols").items():
+    for name, spec in expect(data.get("functions", {}), dict, "functions",
+                             "be an object of symbols").items():
         field = f"functions.{name}"
-        _expect(spec, dict, field, "an object")
+        expect(spec, dict, field, "be an object")
         domain = tuple(_labels(spec.get("domain"), f"{field}.domain"))
-        rng = _expect(spec.get("range"), str, f"{field}.range", "a sort")
+        rng = expect(spec.get("range"), str, f"{field}.range", "be a sort")
         fun_decls[name] = (domain, rng)
         out = read if rng == REAL else str  # labels are read as text
         if not domain:
@@ -290,15 +280,15 @@ def structure_from_json(data: dict) -> FiniteStructure:
         else:
             interps[name] = {
                 tuple(key.split("|")): out(value)
-                for key, value in _expect(spec.get("table"), dict,
-                                          f"{field}.table",
-                                          "an object").items()
+                for key, value in expect(spec.get("table"), dict,
+                                         f"{field}.table",
+                                         "be an object").items()
             }
     anchors = data.get("anchor_constants")
     if anchors is not None:
-        for sort, name in _expect(anchors, dict, "anchor_constants",
-                                  "an object").items():
-            _expect(name, str, f"anchor_constants.{sort}", "a symbol")
+        for sort, name in expect(anchors, dict, "anchor_constants",
+                                 "be an object").items():
+            expect(name, str, f"anchor_constants.{sort}", "be a symbol")
     signature = Signature(sorts=tuple(sorts), functions=fun_decls,
                           anchors=anchors)
     return FiniteStructure(signature, sorts, interps)

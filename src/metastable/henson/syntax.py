@@ -173,7 +173,7 @@ def apply(signature: Signature, func: str, *args: Term) -> App:
 
 
 @dataclass(frozen=True)
-class AtomLe:
+class _Atom:
     term: Term
     bound: Fraction
 
@@ -183,58 +183,47 @@ class AtomLe:
             raise SortMismatch("atoms need a real-valued term")
 
 
+class AtomLe(_Atom):
+    """term <= bound."""
+
+
+class AtomGe(_Atom):
+    """term >= bound."""
+
+
 @dataclass(frozen=True)
-class AtomGe:
-    term: Term
-    bound: Fraction
+class _Binary:
+    left: "Formula"
+    right: "Formula"
+
+
+class And(_Binary):
+    """left & right."""
+
+
+class Or(_Binary):
+    """left | right."""
+
+
+@dataclass(frozen=True)
+class _Quantifier:
+    radius: Fraction
+    var: Var
+    body: "Formula"
 
     def __post_init__(self):
-        object.__setattr__(self, "bound", parse_rational(self.bound))
-        if self.term.sort != REAL:
-            raise SortMismatch("atoms need a real-valued term")
+        r = parse_rational(self.radius)
+        if r <= 0:
+            raise NonpositiveRadius(f"radius must be > 0, got {r}")
+        object.__setattr__(self, "radius", r)
 
 
-@dataclass(frozen=True)
-class And:
-    left: "Formula"
-    right: "Formula"
-
-
-@dataclass(frozen=True)
-class Or:
-    left: "Formula"
-    right: "Formula"
-
-
-def _check_radius(r: Fraction) -> Fraction:
-    r = parse_rational(r)
-    if r <= 0:
-        raise NonpositiveRadius(f"radius must be > 0, got {r}")
-    return r
-
-
-@dataclass(frozen=True)
-class Exists:
+class Exists(_Quantifier):
     """exists_r x: body, with x ranging over the closed ball B[r]."""
 
-    radius: Fraction
-    var: Var
-    body: "Formula"
 
-    def __post_init__(self):
-        object.__setattr__(self, "radius", _check_radius(self.radius))
-
-
-@dataclass(frozen=True)
-class Forall:
+class Forall(_Quantifier):
     """forall_r x: body, with x ranging over the open ball B(r)."""
-
-    radius: Fraction
-    var: Var
-    body: "Formula"
-
-    def __post_init__(self):
-        object.__setattr__(self, "radius", _check_radius(self.radius))
 
 
 Formula = Union[AtomLe, AtomGe, And, Or, Exists, Forall]
@@ -263,28 +252,28 @@ def disj(formulas) -> Formula:
 
 
 def free_vars(phi: Formula) -> frozenset:
-    """Free variables as (name, sort) pairs."""
-
-    def term_vars(t: Term) -> set:
-        if isinstance(t, Var):
-            return {(t.name, t.sort)}
-        if isinstance(t, App):
-            out: set = set()
-            for a in t.args:
-                out |= term_vars(a)
-            return out
-        return set()
-
-    if isinstance(phi, (AtomLe, AtomGe)):
-        return frozenset(term_vars(phi.term))
-    if isinstance(phi, (And, Or)):
-        return free_vars(phi.left) | free_vars(phi.right)
-    if isinstance(phi, (Exists, Forall)):
-        return frozenset(
-            v for v in free_vars(phi.body)
-            if v != (phi.var.name, phi.var.sort)
-        )
-    raise TypeError(f"not a formula: {phi!r}")
+    """Free variables as (name, sort) pairs, in one walk: each pending node
+    carries how many binders enclose it, and `binders` holds the (name,
+    sort) of the enclosing ones."""
+    out, binders, todo = set(), [], [(phi, 0)]
+    while todo:
+        node, depth = todo.pop()
+        del binders[depth:]  # leave the scopes of the subtrees walked so far
+        if isinstance(node, _Atom):
+            terms = [node.term]
+            for t in terms:  # grows as applications are opened
+                if isinstance(t, App):
+                    terms.extend(t.args)
+                elif isinstance(t, Var) and (t.name, t.sort) not in binders:
+                    out.add((t.name, t.sort))
+        elif isinstance(node, _Binary):
+            todo += (node.right, depth), (node.left, depth)
+        elif isinstance(node, _Quantifier):
+            binders.append((node.var.name, node.var.sort))
+            todo.append((node.body, depth + 1))
+        else:
+            raise TypeError(f"not a formula: {node!r}")
+    return frozenset(out)
 
 
 # -- printing ----------------------------------------------------------------------
@@ -300,18 +289,19 @@ def format_term(t: Term) -> str:
     raise TypeError(f"not a term: {t!r}")
 
 
+_SYMBOL = {AtomLe: "<=", AtomGe: ">=", And: "&", Or: "|", Exists: "E",
+           Forall: "A"}
+
+
 def format_formula(phi: Formula) -> str:
     """Concrete syntax that parse_formula maps back to an equal tree."""
-    if isinstance(phi, AtomLe):
-        return f"{format_term(phi.term)} <= {format_rational(phi.bound)}"
-    if isinstance(phi, AtomGe):
-        return f"{format_term(phi.term)} >= {format_rational(phi.bound)}"
-    if isinstance(phi, And):
-        return f"({format_formula(phi.left)} & {format_formula(phi.right)})"
-    if isinstance(phi, Or):
-        return f"({format_formula(phi.left)} | {format_formula(phi.right)})"
-    if isinstance(phi, (Exists, Forall)):
-        return (f"{'E' if isinstance(phi, Exists) else 'A'} "
-                f"{format_rational(phi.radius)} {phi.var.name}. "
-                f"{format_formula(phi.body)}")
+    if isinstance(phi, _Atom):
+        return (f"{format_term(phi.term)} {_SYMBOL[type(phi)]} "
+                f"{format_rational(phi.bound)}")
+    if isinstance(phi, _Binary):
+        return (f"({format_formula(phi.left)} {_SYMBOL[type(phi)]} "
+                f"{format_formula(phi.right)})")
+    if isinstance(phi, _Quantifier):
+        return (f"{_SYMBOL[type(phi)]} {format_rational(phi.radius)} "
+                f"{phi.var.name}. {format_formula(phi.body)}")
     raise TypeError(f"not a formula: {phi!r}")

@@ -22,7 +22,7 @@ from itertools import accumulate, combinations
 from math import lcm
 from typing import Iterable, Mapping, Optional, Tuple
 
-from .errors import MalformedInput, UVOrder
+from .errors import MalformedInput, UVOrder, expect, json_object
 from .rationals import format_rational, parse_rational
 
 KINDS = ("probability", "finite", "signed")
@@ -444,17 +444,13 @@ def _is_label_list(x) -> bool:
 def measure_from_json(data: dict) -> MeasureStructure:
     """The inverse of measure_to_json; MalformedInput, naming the field, on
     any other shape."""
-    if not isinstance(data, dict):
-        raise MalformedInput(
-            f"a measure is a JSON object, not a {type(data).__name__}")
-    omega, weights = data.get("omega"), data.get("weights")
-    algebra = data.get("algebra", "powerset")
+    data = json_object(data, "measure")
+    omega, algebra = data.get("omega"), data.get("algebra", "powerset")
     if not _is_label_list(omega):
         raise MalformedInput(
             f'"omega" must be a list of labels, got {omega!r}')
-    if not isinstance(weights, dict):
-        raise MalformedInput(
-            f'"weights" must map labels to values, got {weights!r}')
+    weights = expect(data.get("weights"), dict, "weights",
+                     "map labels to values")
     if algebra != "powerset" and not (
             isinstance(algebra, list) and all(map(_is_label_list, algebra))):
         raise MalformedInput('"algebra" must be "powerset" or a list of lists '

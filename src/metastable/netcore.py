@@ -57,6 +57,8 @@ from .errors import (
     NonpositiveEpsilon,
     RateTooLarge,
     SamplingDomainError,
+    expect,
+    json_object,
 )
 from .rationals import format_rational, parse_rational, rational_reader
 
@@ -542,12 +544,8 @@ def sequence_from_json(data: dict) -> SequenceSpec:
     """The inverse of sequence_to_json (an older "mode" key is ignored);
     MalformedInput on any other shape.  Each distinct value string is
     parsed once."""
-    if not isinstance(data, dict):
-        raise MalformedInput(
-            f"a sequence is a JSON object, not a {type(data).__name__}")
-    prefix = data.get("prefix")
-    if not isinstance(prefix, list):
-        raise MalformedInput(f'"prefix" must be a list, got {prefix!r}')
+    data = json_object(data, "sequence")
+    prefix = expect(data.get("prefix"), list, "prefix", "be a list")
     read = rational_reader()
     values = []
     for k, v in enumerate(prefix):
@@ -570,14 +568,13 @@ def sequence_from_json(data: dict) -> SequenceSpec:
             '"tail" must be {"constant": true} or {"period": p}, '
             f"got {tail_spec!r}")
     bound = data.get("bound")
-    if bound is not None and not isinstance(bound := read(bound),
-                                            (Fraction, str)):
-        raise MalformedInput(f'"bound" must be a value, got {bound!r}')
+    if bound is not None:
+        bound = expect(read(bound), (Fraction, str), "bound", "be a value")
     return SequenceSpec(prefix=tuple(values), tail=tail, bound=bound)
 
 
-def sequence_from_csv(text: str, *, tail: Tail = Constant()) -> SequenceSpec:
-    """One value per line becomes the prefix; the tail mode is declared aside.
+def sequence_from_csv(text: str) -> SequenceSpec:
+    """One value per line becomes the prefix, with a constant tail.
 
     Cells are read exactly ("0.1" is 1/10), each distinct cell once.  Blank
     lines are skipped; a line holding more than one value raises
@@ -596,4 +593,4 @@ def sequence_from_csv(text: str, *, tail: Tail = Constant()) -> SequenceSpec:
             values.extend(map(read, cells))
     except csv.Error as exc:
         raise MalformedInput(f"line {reader.line_num}: {exc}") from exc
-    return SequenceSpec(prefix=tuple(values), tail=tail)
+    return SequenceSpec(prefix=tuple(values), tail=Constant())

@@ -170,16 +170,19 @@ class TestLogic:
         assert code == 2
         assert capsys.readouterr().err == "error: d takes two arguments\n"
 
-    @pytest.mark.parametrize("formula", [
-        "E 1 x. " * 400 + "d(x, a) <= 1",
-        "(" * 1200 + "d(a, a) <= 1" + " & d(a, a) <= 1)" * 1200,
+    @pytest.mark.parametrize("formula,position", [
+        ("E 1 x. " * 400 + "d(x, a) <= 1", 1400),
+        ("(" * 1200 + "d(a, a) <= 1" + " & d(a, a) <= 1)" * 1200, 200),
     ], ids=["quantifiers-400", "conjunctions-1200"])
-    def test_deep_formula_exit_2(self, workdir, capsys, formula):
+    def test_deep_formula_exit_2(self, workdir, capsys, formula, position):
+        # the parser refuses the level past MAX_NESTING = 200 at its first
+        # token, before any walker can exceed the recursion limit
         code = main(["logic", "check", "--structure", str(workdir / "m.json"),
                      "--formula", formula])
         assert code == 2
-        assert capsys.readouterr().err == \
-            "error: the input is nested too deeply\n"
+        assert capsys.readouterr().err == (
+            "error: nesting deeper than MAX_NESTING = 200 "
+            f"(at position {position})\n")
 
     def test_parse_error_exit_2(self, workdir, capsys):
         code = main(["logic", "check", "--structure", str(workdir / "m.json"),

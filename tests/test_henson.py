@@ -5,7 +5,7 @@ import time
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import metastable.henson as h
@@ -30,6 +30,7 @@ from metastable.generators import (
     random_rational,
     random_tail_sequence,
 )
+from metastable.henson.parser import MAX_NESTING
 
 
 def one_sort_signature():
@@ -120,6 +121,31 @@ TWO_SORT_REFUSALS = [
 ]
 
 
+def nested_text(formula_levels, app_levels: int):
+    """A formula text that opens one level per entry of formula_levels ("E",
+    "A", "&" or "|"), then app_levels abs applications around h(x), and
+    the position at which each level, h(x) last, opens."""
+    text, close, opens = "", "", []
+    for op in formula_levels:
+        opens.append(len(text))
+        text += f"{op} 1 x. " if op in "EA" else "("
+        close = (f" {op} 1 <= 1)" if op in "&|" else "") + close
+    for _ in range(app_levels):
+        opens.append(len(text))
+        text += "abs("
+    opens.append(len(text))
+    return text + "h(x)" + ")" * app_levels + " <= 2" + close, opens
+
+
+NESTING_SHAPES = {
+    # levels - 1 openers, then the application h(x)
+    "quantifiers": lambda n: nested_text(("EA" * n)[:n - 1], 0),
+    "connectives": lambda n: nested_text(("&|" * n)[:n - 1], 0),
+    "applications": lambda n: nested_text("", n - 1),
+    "mixed": lambda n: nested_text(("E&A|" * n)[:n // 2], n - 1 - n // 2),
+}
+
+
 class TestParser:
     def test_single_atom(self):
         sig, _ = two_point_structure()
@@ -186,6 +212,29 @@ class TestParser:
         with pytest.raises(MetastableError) as err:
             h.parse_formula(text, two_sort_signature())
         assert type(err.value) is cls and str(err.value) == message
+
+    @pytest.mark.parametrize("shape", NESTING_SHAPES)
+    def test_nesting_limit(self, shape):
+        # at MAX_NESTING every walker runs under the default recursion
+        # limit; the level past it is refused at its first token
+        limit = MAX_NESTING
+        sig = h.Signature(sorts=("X",), functions={"h": (("X",), h.REAL)},
+                          anchors={"X": "a"})
+        M = h.FiniteStructure(sig, {"X": h.discrete_sort(["p"])},
+                              {"a": "p", "h": {("p",): 1}})
+        text, opens = NESTING_SHAPES[shape](limit)
+        assert len(opens) == limit
+        phi = h.parse_formula(text, sig)
+        assert h.satisfies(M, phi, {"x": "p"})
+        assert h.approx_satisfies(M, phi, {"x": "p"})
+        assert h.format_formula(phi) == text
+        assert h.format_formula(h.weak_negation(h.weak_negation(phi))) == text
+        assert h.free_vars(phi) <= {("x", "X")}
+        text, opens = NESTING_SHAPES[shape](limit + 1)
+        with pytest.raises(FormulaSyntaxError) as err:
+            h.parse_formula(text, sig)
+        assert str(err.value) == (f"nesting deeper than MAX_NESTING = {limit} "
+                                  f"(at position {opens[limit]})")
 
 
 class TestEvalTerm:
@@ -258,6 +307,52 @@ class TestSatisfies:
         sig2, M2 = two_point_structure(F(1001, 1000))
         phi2 = h.parse_formula("d(x, a) <= 1", sig2)
         assert not h.approx_satisfies(M2, phi2, {"x": "pb"})
+
+
+def recursive_free_vars(phi) -> frozenset:
+    """The recursive definition free_vars had: a frozenset per node."""
+    def term_vars(t) -> set:
+        if isinstance(t, h.Var):
+            return {(t.name, t.sort)}
+        if isinstance(t, h.App):
+            return set().union(*map(term_vars, t.args))
+        return set()
+
+    if isinstance(phi, (h.AtomLe, h.AtomGe)):
+        return frozenset(term_vars(phi.term))
+    if isinstance(phi, (h.And, h.Or)):
+        return recursive_free_vars(phi.left) | recursive_free_vars(phi.right)
+    return frozenset(v for v in recursive_free_vars(phi.body)
+                     if v != (phi.var.name, phi.var.sort))
+
+
+# x, y and z at either sort, so that binders shadow names at the same sort
+# and at the other one; terms are not sort-checked, free_vars reads names
+VARIABLES = st.builds(h.Var, st.sampled_from("xyz"), st.sampled_from("XY"))
+TERMS = st.recursive(
+    VARIABLES | st.sampled_from([aX, bY, h.Lit(1)]),
+    lambda args: st.builds(lambda f, a, b: real_app(f, a, b),
+                           st.sampled_from(["d", "h", "add"]), args, args),
+    max_leaves=4)
+FORMULAS = st.recursive(
+    st.builds(lambda node, t, r: node(real_app("abs", t), r),
+              st.sampled_from([h.AtomLe, h.AtomGe]), TERMS, st.integers(0, 2)),
+    lambda kids: (st.builds(h.And, kids, kids) | st.builds(h.Or, kids, kids)
+                  | st.builds(h.Exists, st.just(1), VARIABLES, kids)
+                  | st.builds(h.Forall, st.just(2), VARIABLES, kids)),
+    max_leaves=10)
+
+
+class TestFreeVars:
+    @settings(max_examples=300, deadline=None)
+    @given(phi=FORMULAS)
+    @example(phi=h.And(h.AtomLe(real_app("d", xX, xX), 1),
+                       h.Exists(1, xX, h.AtomLe(real_app("d", xX, aX), 1))))
+    @example(phi=h.Exists(1, xX, h.AtomLe(real_app("g", xY), 1)))
+    @example(phi=h.Exists(1, xX, h.Or(h.Forall(1, xY, h.AtomLe(
+        real_app("h", xX, xY), 1)), h.AtomGe(real_app("g", xY), 0))))
+    def test_matches_the_recursive_definition(self, phi):
+        assert h.free_vars(phi) == recursive_free_vars(phi)
 
 
 class TestApproximationRelation:
