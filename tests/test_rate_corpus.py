@@ -191,7 +191,8 @@ MEASURE = {"omega": ["w0", "w1"], "weights": {"w0": "1/3", "w1": "2/3"},
 def explicit_measure(seed: int, n: int, blocks: int, kind: str,
                      broken: bool = False) -> MeasureStructure:
     """A measure on the algebra generated by a random partition into
-    blocks; `broken` drops the sets that miss the first block but one."""
+    blocks; `broken` keeps only {} and the unions that hold the first
+    block, so the family misses that block's complement."""
     rng = random.Random(seed)
     base = {"probability": random_probability_measure,
             "finite": random_positive_measure,
