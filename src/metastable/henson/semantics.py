@@ -71,29 +71,43 @@ def eval_term(M: FiniteStructure, t: Term, assignment: Assignment):
 
 def satisfies(M: FiniteStructure, phi: Formula, assignment: Assignment = None) -> bool:
     """Discrete satisfaction; free variables need values of their sorts."""
-    assignment = dict(assignment or {})
-    for name, sort in free_vars(phi):
-        if name not in assignment:
+    return _sat(M, phi, _bind(M, phi, assignment))
+
+
+def _bind(M: FiniteStructure, phi: Formula, assignment: Assignment) -> dict:
+    """A copy of the assignment with every free variable of phi checked, in
+    name order: a real value is parsed to a rational, and any other value
+    must be a point of its sort."""
+    env = dict(assignment or {})
+    for name, sort in sorted(free_vars(phi)):
+        if name not in env:
             raise UnassignedVariable(f"variable {name!r} has no value")
         if sort == REAL:
-            assignment[name] = parse_rational(assignment[name])
-        elif assignment[name] not in M.sorts.get(sort, ()):
-            raise SortMismatch(f"variable {name!r} = {assignment[name]!r} "
+            env[name] = parse_rational(env[name])
+        elif env[name] not in M.sorts.get(sort, ()):
+            raise SortMismatch(f"variable {name!r} = {env[name]!r} "
                                f"is not a point of sort {sort!r}")
-    return _sat(M, phi, assignment)
+    return env
 
 
-def _quantifier_points(M: FiniteStructure, node) -> tuple:
-    sort = node.var.sort
+def _some_instance(M: FiniteStructure, q, env: dict, points, holds) -> bool:
+    """Whether holds(inner) is true for some copy `inner` of env that binds
+    q's variable to a point of points(sort, radius), tried in order; a holds
+    that is never true visits them all.  The sort is checked first, and env
+    keeps the outer value."""
+    sort, name = q.var.sort, q.var.name
     if sort == REAL:
         raise RealQuantifier(
             "quantification over the real sort is not supported (infinite balls)"
         )
     if sort not in M.sorts:
         raise SortMismatch(f"structure has no sort {sort!r}")
-    if isinstance(node, Exists):
-        return M.closed_ball(sort, node.radius)
-    return M.open_ball(sort, node.radius)
+    inner = dict(env)
+    for p in points(sort, q.radius):
+        inner[name] = p
+        if holds(inner):
+            return True
+    return False
 
 
 def _sat(M: FiniteStructure, phi: Formula, assignment: dict) -> bool:
@@ -105,29 +119,13 @@ def _sat(M: FiniteStructure, phi: Formula, assignment: dict) -> bool:
         return _sat(M, phi.left, assignment) and _sat(M, phi.right, assignment)
     if isinstance(phi, Or):
         return _sat(M, phi.left, assignment) or _sat(M, phi.right, assignment)
-    if isinstance(phi, (Exists, Forall)):
-        points = _quantifier_points(M, phi)
-        name = phi.var.name
-        shadowed = assignment.get(name, _MISSING)
-        some_or_every = any if isinstance(phi, Exists) else all
-        try:
-            result = some_or_every(
-                _sat(M, phi.body, _with(assignment, name, p)) for p in points)
-        finally:
-            if shadowed is _MISSING:
-                assignment.pop(name, None)
-            else:
-                assignment[name] = shadowed
-        return result
+    if isinstance(phi, Exists):
+        return _some_instance(M, phi, assignment, M.closed_ball,
+                              lambda env: _sat(M, phi.body, env))
+    if isinstance(phi, Forall):
+        return not _some_instance(M, phi, assignment, M.open_ball,
+                                  lambda env: not _sat(M, phi.body, env))
     raise TypeError(f"not a formula: {phi!r}")
-
-
-_MISSING = object()
-
-
-def _with(assignment: dict, name: str, value) -> dict:
-    assignment[name] = value
-    return assignment
 
 
 # -- gap analysis ----------------------------------------------------------------
@@ -141,10 +139,10 @@ def critical_values(M: FiniteStructure, phi: Formula,
     over their full sorts (free variables fixed by the assignment), every
     pairwise metric value, and the formula's own bounds and radii.
     """
+    env = _bind(M, phi, assignment)
     values = set()
     for data in M.sorts.values():
         values.update(data.d(a, b) for a in data.points for b in data.points)
-    env = dict(assignment or {})
     _collect(M, phi, env, values)
     return frozenset(values)
 
@@ -169,20 +167,8 @@ def _collect(M: FiniteStructure, phi: Formula, env: dict, out: set):
         return
     if isinstance(phi, (Exists, Forall)):
         out.add(phi.radius)
-        sort = phi.var.sort
-        if sort == REAL:
-            raise RealQuantifier(
-                "quantification over the real sort is not supported"
-            )
-        name = phi.var.name
-        shadowed = env.get(name, _MISSING)
-        for p in M.points(sort):
-            env[name] = p
-            _collect(M, phi.body, env, out)
-        if shadowed is _MISSING:
-            env.pop(name, None)
-        else:
-            env[name] = shadowed
+        _some_instance(M, phi, env, lambda sort, _radius: M.points(sort),
+                       lambda inner: _collect(M, phi.body, inner, out))
         return
     raise TypeError(f"not a formula: {phi!r}")
 

@@ -366,10 +366,14 @@ class LInfFunction:
         return max(abs(v) for v in self.values.values())
 
 
-def integrate(M: MeasureStructure, f: LInfFunction) -> Fraction:
-    """The integration functional: the exact weighted sum over atoms."""
+def _check_domain(M: MeasureStructure, f: LInfFunction) -> None:
     if set(f.values) != set(M.omega):
         raise ValueError("function domain differs from the sample space")
+
+
+def integrate(M: MeasureStructure, f: LInfFunction) -> Fraction:
+    """The integration functional: the exact weighted sum over atoms."""
+    _check_domain(M, f)
     return sum((f(w) * M.weights[w] for w in M.omega), Fraction(0))
 
 
@@ -410,6 +414,7 @@ def check_measurability(M: MeasureStructure, f: LInfFunction, u, v
     u, v = parse_rational(u), parse_rational(v)
     if u >= v:
         raise UVOrder(f"need u < v, got u = {u}, v = {v}")
+    _check_domain(M, f)
     if M.is_powerset:
         return frozenset(w for w in M.omega if f(w) <= v)
     for A in M.sets():

@@ -319,6 +319,30 @@ class TestLazyHenson:
         assert code == 0 and len(calls) == 1
 
 
+class TestHashSeed:
+    """A refusal names the same input under every string hash seed."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["logic", "check", "--structure", "m.json", "--formula",
+          "(d(x, a) <= 1 & d(y, a) <= 1)"], "variable 'x' has no value"),
+        (["measure", "measurable", "--file", "blocks.json", "--function",
+          "w1.json", "--u", "0", "--v", "1"],
+         "function domain differs from the sample space"),
+    ])
+    def test_same_message_under_two_seeds(self, workdir, argv, message):
+        (workdir / "blocks.json").write_text(json.dumps({
+            "omega": ["w1", "w2", "w3"], "weights": {"w1": 1, "w2": 1, "w3": 1},
+            "algebra": [[], ["w1"], ["w2", "w3"], ["w1", "w2", "w3"]]}))
+        (workdir / "w1.json").write_text(json.dumps({"values": {"w1": 1}}))
+        src = str(Path(ms.__file__).resolve().parent.parent)
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            done = subprocess.run([sys.executable, "-m", "metastable.cli"]
+                                  + argv, cwd=workdir, env=env, timeout=60,
+                                  capture_output=True, text=True)
+            assert (done.returncode, done.stderr) == (2, f"error: {message}\n")
+
+
 class TestParserReuse:
     def test_one_parser_per_process(self):
         assert build_parser() is build_parser()

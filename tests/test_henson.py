@@ -279,8 +279,16 @@ class TestSatisfies:
     def test_real_quantifier_rejected(self):
         sig, M = two_point_structure()
         phi = h.Exists(1, h.Var("t", h.REAL), h.AtomLe(h.Var("t", h.REAL), 0))
-        with pytest.raises(RealQuantifier):
-            h.satisfies(M, phi)
+        for call in (h.satisfies, h.critical_values):
+            with pytest.raises(RealQuantifier, match=r"\(infinite balls\)"):
+                call(M, phi)
+
+    def test_quantifier_over_a_missing_sort(self):
+        sig, M = two_point_structure()
+        phi = h.Forall(1, h.Var("y", "Y"), h.AtomLe(h.Lit(0), 1))
+        for call in (h.satisfies, h.critical_values, h.satisfaction_gap):
+            with pytest.raises(SortMismatch, match="structure has no sort 'Y'"):
+                call(M, phi)
 
     def test_free_variable_assignment(self):
         sig, M = two_point_structure()
@@ -307,6 +315,59 @@ class TestSatisfies:
         sig2, M2 = two_point_structure(F(1001, 1000))
         phi2 = h.parse_formula("d(x, a) <= 1", sig2)
         assert not h.approx_satisfies(M2, phi2, {"x": "pb"})
+
+
+class TestOneBinder:
+    """The certificate behind approximate satisfaction reads the assignment
+    that satisfies reads."""
+
+    @pytest.mark.parametrize("text, env", [
+        ("add(r, h(b)) <= 1", {"r": "1/2"}),
+        ("add(r, h(b)) <= 1", {"r": 3}),
+        ("add(r, h(b)) <= 1", {"r": "x"}),
+        ("add(r, h(b)) <= 1", {"r": 0.5}),
+        ("d(x, a) <= 1", {"x": "p1"}),
+        ("d(x, a) <= 1", {"x": "zz"}),
+        ("E 1 y. d(x, y) <= 1", {"x": "zz"}),
+        ("d(x, a) <= 1", {"r": "1"}),
+        ("(d(x, a) <= 1 & d(y, a) <= 1)", {}),
+        ("(max(r, h(x)) >= 1/2 | d(x, a) <= 0)", {"x": "p2", "r": "x"}),
+    ])
+    def test_certificate_binds_as_satisfies(self, text, env):
+        M = random_finite_structure(random.Random(8), 3)
+        phi = h.parse_formula(text, M.signature)
+
+        def outcome(call):
+            try:
+                call(M, phi, env)
+            except (MetastableError, ValueError) as err:
+                return type(err), str(err)
+            return None
+
+        assert outcome(h.critical_values) == outcome(h.satisfies)
+        assert outcome(h.satisfaction_gap) == outcome(h.satisfies)
+
+    def test_string_and_int_rationals_are_values(self):
+        M = random_finite_structure(random.Random(2), 3)
+        phi = h.parse_formula("max(r, h(b)) <= 1", M.signature)
+        assert h.critical_values(M, phi, {"r": "1/2"}) == \
+            h.critical_values(M, phi, {"r": F(1, 2)})
+        assert F(3) in h.critical_values(M, phi, {"r": 3})
+        assert h.satisfaction_gap(M, phi, {"r": "7/3"}) == \
+            h.satisfaction_gap(M, phi, {"r": F(7, 3)})
+
+    def test_quantifier_leaves_the_outer_value(self):
+        # every x in the ball satisfies the left conjunct, and h(p0) = 2
+        # differs from h(p1) = 0, so a leaked binding changes both answers
+        M = random_finite_structure(random.Random(2), 3)
+        env = {"x": "p0"}
+
+        def parse(text):
+            return h.parse_formula(text, M.signature)
+
+        assert h.satisfies(M, parse("(A 4 x. h(x) >= 0 & h(x) >= 1)"), env)
+        assert h.critical_values(M, parse("(E 4 x. 0 <= 1 & h(x) <= 9)"), env) \
+            == h.critical_values(M, parse("(h(x) <= 9 & E 4 x. 0 <= 1)"), env)
 
 
 def recursive_free_vars(phi) -> frozenset:

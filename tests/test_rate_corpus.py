@@ -21,7 +21,10 @@ matches is a change in what the program answers.  There are two slices:
   and `measurable`; and one malformed document per field and bad-value
   shape for every loader (sequence JSON and CSV, sampling, rate file,
   measure, L-infinity function, family, structure).  Texts nest at most 200
-  deep.
+  deep.  Rows drawn later are appended at the end of the drawing, so
+  earlier draws stay fixed: `satisfaction_gap` under string assignments,
+  assignments with two missing or bad variables, and functions that miss
+  two or more sample points or carry an extra label.
 
 The digest is the first 16 hex digits of the sha-256 of `repr` of the
 result ((passed, index) for an audit), of "class|message" for a refusal,
@@ -105,6 +108,7 @@ from metastable.henson import (
     is_approximation,
     parse_formula,
     relax,
+    satisfaction_gap,
     satisfies,
     structure_to_json,
     weak_negation,
@@ -228,8 +232,9 @@ NAMESPACE.update((f.__name__, f) for f in (
     explicit_measure, format_formula, free_vars, is_approximation,
     linf_to_json, measure_to_json, parse_formula, random_finite_structure,
     random_formula, random_linf, random_positive_measure,
-    random_probability_measure, random_signed_measure, relax, satisfies,
-    structure_to_json, tree, weak_negation, wneg_xi, xi_E, And, AtomLe, Lit))
+    random_probability_measure, random_signed_measure, relax, satisfaction_gap,
+    satisfies, structure_to_json, tree, weak_negation, wneg_xi, xi_E, And,
+    AtomLe, Lit))
 
 
 def _digest(text: str) -> str:
@@ -517,8 +522,8 @@ def draw_logic_measure_rows(rng: random.Random) -> list:
         if re.match(r"[EA] [0-9/]+ (\w)\.", text):
             free.discard(re.match(r"[EA] [0-9/]+ (\w)\.", text)[1])
         for k, env in enumerate(assignments):
-            # at most one variable missing or bad: which one a refusal names
-            # must not depend on the set order of the free variables
+            # at most one variable missing or bad; the rows with two are
+            # drawn at the end
             bad = [v for v in free if env.get(v, "zz") in ("zz", "x")]
             if len(bad) > 1:
                 continue
@@ -611,7 +616,7 @@ def draw_logic_measure_rows(rng: random.Random) -> list:
             cli(["measure", "audit", "--file", "mu.json"] + flags, files)
             continue
         omega = pick([f"{mu}.omega"] * 5 + ["['w0']"]) if command == 1 \
-            else f"{mu}.omega"  # which missing label it names is set order
+            else f"{mu}.omega"  # measurable misses labels at the end
         files["f.json"] = (f"linf_to_json(random_linf(Random({s + 1}), "
                            f"{omega}))")
         if command == 1:
@@ -787,6 +792,50 @@ def draw_logic_measure_rows(rng: random.Random) -> list:
                 "dict(STRUCTURE, anchor_constants=None)"]:
         cli(["logic", "check", "--structure", "m.json", "--formula",
              "d(a, a) <= 0"], {"m.json": doc})
+
+    # Drawn last, so that every row above keeps its draw: the cases left out
+    # above while a refusal named the variable or label it met first in set
+    # order, and the satisfaction gap under the same string assignments.
+    two_points = ["(d(x, a) <= 1 & d(y, a) <= 1)",
+                  "(add(r, h(y)) <= 1 | d(x, y) >= 1/2)"]
+    for text in texts + two_points:
+        free = {v for v in ("x", "y", "r") if re.search(rf"\b{v}\b", text)}
+        if re.match(r"[EA] [0-9/]+ (\w)\.", text):
+            free.discard(re.match(r"[EA] [0-9/]+ (\w)\.", text)[1])
+        for k, env in enumerate(assignments):
+            M = f"random_finite_structure(Random({k}), 3)"
+            args = f"{M}, parse_formula({text!r}, ONE), {env!r}"
+            lib(f"satisfaction_gap({args})")
+            if len([v for v in free if env.get(v, "zz") in ("zz", "x")]) > 1:
+                lib(f"satisfies({args})")
+                lib(f"approx_satisfies({args})")
+                lib(f"sorted(critical_values({args}))")
+    for k, text in enumerate(two_points + texts):
+        for assign in ([], ["--assign", "x=zz,r=x"], ["--assign", "q=1"]):
+            cli(["logic", "check", "--structure", "m.json", "--formula", text]
+                + assign + pick(modes) + pick([[], ["--json"]]),
+                {"m.json": "structure_to_json(random_finite_structure("
+                           f"Random({k}), 3))"})
+    # functions that miss two or more points, on an explicit algebra (odd s)
+    # and on a powerset, or that carry an extra label on a powerset
+    for s in range(48):
+        n = 3 + s % 4
+        mu = (f"explicit_measure({s}, {n}, {rng.randint(2, 3)}, "
+              f"{pick(kinds)!r})" if s % 2
+              else f"{pick(makers)}(Random({s}), {n})")
+        k = rng.randint(2, n)
+        omega = f"{mu}.omega + ('zz',)" if s % 4 == 0 else pick(
+            [f"{mu}.omega[{k}:]", f"{mu}.omega[:{n - k}]"])
+        files = {"mu.json": f"measure_to_json({mu})",
+                 "f.json": f"linf_to_json(random_linf(Random({s}), {omega}))"}
+        u = Fraction(rng.randint(-16, 8), 8)
+        v = u + Fraction(rng.randint(1, 16), 8)
+        flags = pick([[], ["--json"]])
+        cli(["measure", "measurable", "--file", "mu.json", "--function",
+             "f.json", f"--u={format_rational(u)}",
+             f"--v={format_rational(v)}"] + flags, files)
+        cli(["measure", "integrate", "--file", "mu.json", "--function",
+             "f.json"] + flags, files)
     return rows
 
 
