@@ -26,6 +26,11 @@ matches is a change in what the program answers.  There are two slices:
   assignments with two missing or bad variables, and functions that miss
   two or more sample points or carry an extra label.
 
+Both slices end with the command line's own refusals and accepted
+spellings (help, missing, unknown and abbreviated options, extra words,
+`--`), written from the code at commit a9548d6.  A command runs with
+COLUMNS=80, the width argparse wraps its usage and help text to.
+
 The digest is the first 16 hex digits of the sha-256 of `repr` of the
 result ((passed, index) for an audit), of "class|message" for a refusal,
 or of (exit code, stdout, stderr) for a command.  A call whose result is a
@@ -51,6 +56,7 @@ import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 from metastable import (
     MeasureStructure,
@@ -262,8 +268,10 @@ def cli_digest(argv: list, files: dict) -> str:
                 value if name.endswith(".csv") else json.dumps(value))
         os.chdir(tmp)
         try:
+            # argparse wraps usage and help text at the terminal width
             with contextlib.redirect_stdout(out), \
-                    contextlib.redirect_stderr(err):
+                    contextlib.redirect_stderr(err), \
+                    mock.patch.dict(os.environ, COLUMNS="80"):
                 code = cli_main(argv)
         except SystemExit as exc:
             code = exc.code
@@ -460,7 +468,40 @@ def draw_rows(rng: random.Random) -> list:
         if rng.random() < 0.5:
             argv += ["--horizon", str(rng.randint(0, 80))]
         rows.append(["cli", argv + pick([[], ["--json"]]), {}])
-    return rows
+    rows += command_line_rows({
+        ("analyze",): ["--seq", "s.json", "--eps", "1/2", "--F", "n+1",
+                       "--E", "0..3"],
+        ("rate", "monotone"): ["--eps", "2/5", "--F", "2n+1"],
+        ("dct", "check"): ["--family", "f.json"],
+        ("dct", "search"): ["--eps", "1/2,1/3", "--count", "2", "--seed", "1",
+                            "--F", "2n+1"],
+    }, {"s.json": "sequence_to_json(step_sequence(2))",
+        "f.json": "family_to_json(random_coherent_family(Random(0)))"})
+    return rows + [["cli", argv, {}] for argv in (
+        [], ["frob"], ["-h"], ["rate", "frob"],
+        ["dct", "search", "--F", "2n+1", "--eps", "1/2", "--count", "x"],
+        ["dct", "search", "--F", "2n+1", "--eps", "1/2", "--h", "3"])]
+
+
+def command_line_rows(commands: dict, files: dict) -> list:
+    """The command line's own refusals and accepted spellings, around one
+    well-formed option list per command (its first option at least four
+    characters long): help at each level, the group word alone, a missing
+    option, an unknown or misplaced one, an extra word, `--` before, inside
+    and after the command words, `--opt=value` and an abbreviation."""
+    argvs = {}
+    for words, opts in commands.items():
+        group, tail = words[:1], words[1:]
+        for argv in (
+                [*words, "-h"], [*group, "-h"], [*group], [*words, *opts[:-2]],
+                [*words, *opts, "--bogus"], ["--json", *words, *opts],
+                [*words, *opts, "extra"], [*words, *opts, "-h", "extra"],
+                ["--", *words, *opts], [*group, "--", *tail, *opts],
+                [*words, "--", *opts], [*words, *opts, "--"],
+                [*words, f"{opts[0]}={opts[1]}", *opts[2:]],
+                [*words, opts[0][:4], *opts[1:]]):
+            argvs.setdefault(tuple(argv), argv)
+    return [["cli", argv, files] for argv in argvs.values()]
 
 
 def draw_logic_measure_rows(rng: random.Random) -> list:
@@ -836,7 +877,24 @@ def draw_logic_measure_rows(rng: random.Random) -> list:
              f"--v={format_rational(v)}"] + flags, files)
         cli(["measure", "integrate", "--file", "mu.json", "--function",
              "f.json"] + flags, files)
-    return rows
+    mu = "random_probability_measure(Random(0), 3)"
+    rows += command_line_rows({
+        ("logic", "check"): ["--structure", "m.json", "--mode", "discrete",
+                             "--formula", "d(b, a) <= 1"],
+        ("logic", "parse"): ["--structure", "m.json", "--formula",
+                             "d(b, a) <= 1"],
+        ("measure", "audit"): ["--file", "mu.json"],
+        ("measure", "integrate"): ["--file", "mu.json", "--function", "f.json"],
+        ("measure", "measurable"): ["--file", "mu.json", "--function",
+                                    "f.json", "--u", "0", "--v", "1"],
+    }, {"m.json": "structure_to_json(random_finite_structure(Random(0), 3))",
+        "mu.json": f"measure_to_json({mu})",
+        "f.json": f"linf_to_json(random_linf(Random(1), {mu}.omega))"})
+    return rows + [["cli", argv, {}] for argv in (
+        ["logic", "frob"], ["measure", "-h", "audit"],
+        ["logic", "check", "--structure", "m.json", "--formula", "1 <= 1",
+         "--mode", "exact"],
+        ["measure", "measurable", "--f", "mu.json", "--u", "0", "--v", "1"])]
 
 
 # slice name -> (file, seed, drawing function)
