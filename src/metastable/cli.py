@@ -276,94 +276,94 @@ def cmd_dct_search(args) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parsing leaves it
-    unchanged, and building it costs more than a small analysis."""
-    top = argparse.ArgumentParser(
+def _command_parsers() -> dict:
+    """Every parser of the command line under the words that select it: ()
+    for the root, ("rate",) for a group, ("rate", "monotone") for a command.
+    Built once per process: building costs more than a small analysis."""
+    parsers = {(): argparse.ArgumentParser(
         prog="metastable",
         description="Metastable convergence rates, positive bounded formulas, "
                     "and finitely additive integration",
-    )
-    sub = top.add_subparsers(dest="command", required=True)
+    )}
+    subparsers = {(): parsers[()].add_subparsers(dest="command",
+                                                 required=True)}
 
-    analyze = sub.add_parser("analyze", help="check a rate on a sequence file")
-    analyze.add_argument("--seq", required=True, help="sequence JSON or CSV file")
-    analyze.add_argument("--eps", required=True, help="epsilon (p/q)")
-    analyze.add_argument("--F", required=True,
-                         help="sampling: n+c, 2n+c, inline JSON, or @file")
-    analyze.add_argument("--E", required=True,
-                         help="rate set: lo..hi, comma list, or @file")
-    analyze.add_argument("--json", action="store_true")
-    analyze.set_defaults(func=cmd_analyze)
+    def group(name, summary):
+        parsers[name,] = subparsers[()].add_parser(name, help=summary)
+        subparsers[name,] = parsers[name,].add_subparsers(
+            dest=f"{name}_command", required=True)
 
-    rate = sub.add_parser("rate", help="rate constructions")
-    rate_sub = rate.add_subparsers(dest="rate_command", required=True)
-    mono = rate_sub.add_parser("monotone",
-                               help="uniform rate for monotone sequences in [0,1]")
-    mono.add_argument("--eps", required=True)
-    mono.add_argument("--F", required=True)
-    mono.add_argument("--json", action="store_true")
-    mono.set_defaults(func=cmd_rate_monotone)
+    def command(words, func, summary, required, optional=None, json=True):
+        """The parser of `words`: required options (flag -> help), then the
+        others (flag -> add_argument keywords), then --json if it has one."""
+        parser = parsers[words] = subparsers[words[:-1]].add_parser(
+            words[-1], help=summary)
+        for flag, text in required.items():
+            parser.add_argument(flag, required=True, help=text)
+        for flag, spec in (optional or {}).items():
+            parser.add_argument(flag, **spec)
+        if json:
+            parser.add_argument("--json", action="store_true")
+        parser.set_defaults(func=func)
 
-    logic = sub.add_parser("logic", help="formula parsing and satisfaction")
-    logic_sub = logic.add_subparsers(dest="logic_command", required=True)
-    check = logic_sub.add_parser("check", help="evaluate a formula on a structure")
-    check.add_argument("--structure", required=True, help="structure JSON file")
-    check.add_argument("--formula", required=True)
-    check.add_argument("--mode", choices=("discrete", "approx"), default="approx")
-    check.add_argument("--assign", help="free-variable assignment x=p,y=q")
-    check.add_argument("--json", action="store_true")
-    check.set_defaults(func=cmd_logic_check)
-    lparse = logic_sub.add_parser("parse", help="parse and reprint a formula")
-    lparse.add_argument("--structure", required=True)
-    lparse.add_argument("--formula", required=True)
-    lparse.set_defaults(func=cmd_logic_parse)
+    command(("analyze",), cmd_analyze, "check a rate on a sequence file",
+            {"--seq": "sequence JSON or CSV file", "--eps": "epsilon (p/q)",
+             "--F": "sampling: n+c, 2n+c, inline JSON, or @file",
+             "--E": "rate set: lo..hi, comma list, or @file"})
 
-    measure = sub.add_parser("measure", help="measure-structure operations")
-    measure_sub = measure.add_subparsers(dest="measure_command", required=True)
-    audit = measure_sub.add_parser("audit", help="axiom audit")
-    audit.add_argument("--file", required=True)
-    audit.add_argument("--json", action="store_true")
-    audit.set_defaults(func=cmd_measure_audit)
-    integ = measure_sub.add_parser("integrate", help="integrate a function")
-    integ.add_argument("--file", required=True)
-    integ.add_argument("--function", required=True, help="L-infinity JSON file")
-    integ.add_argument("--json", action="store_true")
-    integ.set_defaults(func=cmd_measure_integrate)
-    measurable = measure_sub.add_parser(
-        "measurable", help="find a set witnessing approximate measurability"
-    )
-    measurable.add_argument("--file", required=True)
-    measurable.add_argument("--function", required=True)
-    measurable.add_argument("--u", required=True)
-    measurable.add_argument("--v", required=True)
-    measurable.add_argument("--json", action="store_true")
-    measurable.set_defaults(func=cmd_measure_measurable)
+    group("rate", "rate constructions")
+    command(("rate", "monotone"), cmd_rate_monotone,
+            "uniform rate for monotone sequences in [0,1]",
+            {"--eps": None, "--F": None})
 
-    dct = sub.add_parser("dct", help="dominated-convergence checks")
-    dct_sub = dct.add_subparsers(dest="dct_command", required=True)
-    dcheck = dct_sub.add_parser("check", help="oscillation inequality on a family")
-    dcheck.add_argument("--family", required=True, help="family JSON file")
-    dcheck.add_argument("--json", action="store_true")
-    dcheck.set_defaults(func=cmd_dct_check)
-    dsearch = dct_sub.add_parser(
-        "search", help="metastable rate search over the monotone slice class")
-    dsearch.add_argument("--F", required=True)
-    dsearch.add_argument("--eps", required=True, help="comma-separated grid")
-    dsearch.add_argument("--count", type=int, default=50,
-                         help="random families beyond the adversarial core")
-    dsearch.add_argument("--omega", type=int, default=2)
-    dsearch.add_argument("--horizon", type=int, help="optional search cap")
-    dsearch.add_argument("--seed", type=int)
-    dsearch.add_argument("--json", action="store_true")
-    dsearch.set_defaults(func=cmd_dct_search)
+    group("logic", "formula parsing and satisfaction")
+    command(("logic", "check"), cmd_logic_check,
+            "evaluate a formula on a structure",
+            {"--structure": "structure JSON file", "--formula": None},
+            {"--mode": dict(choices=("discrete", "approx"), default="approx"),
+             "--assign": dict(help="free-variable assignment x=p,y=q")})
+    command(("logic", "parse"), cmd_logic_parse, "parse and reprint a formula",
+            {"--structure": None, "--formula": None}, json=False)
 
-    return top
+    group("measure", "measure-structure operations")
+    command(("measure", "audit"), cmd_measure_audit, "axiom audit",
+            {"--file": None})
+    command(("measure", "integrate"), cmd_measure_integrate,
+            "integrate a function",
+            {"--file": None, "--function": "L-infinity JSON file"})
+    command(("measure", "measurable"), cmd_measure_measurable,
+            "find a set witnessing approximate measurability",
+            {"--file": None, "--function": None, "--u": None, "--v": None})
+
+    group("dct", "dominated-convergence checks")
+    command(("dct", "check"), cmd_dct_check,
+            "oscillation inequality on a family",
+            {"--family": "family JSON file"})
+    command(("dct", "search"), cmd_dct_search,
+            "metastable rate search over the monotone slice class",
+            {"--F": None, "--eps": "comma-separated grid"},
+            {"--count": dict(type=int, default=50, help="random families "
+                             "beyond the adversarial core"),
+             "--omega": dict(type=int, default=2),
+             "--horizon": dict(type=int, help="optional search cap"),
+             "--seed": dict(type=int)})
+    return parsers
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The root of the command line, the same parser on every call."""
+    return _command_parsers()[()]
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    parsers = _command_parsers()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # Parse once, with the parser of the longest run of leading command
+    # words: the root would hand the rest of argv down to it unchanged.
+    words = max((w for w in parsers if tuple(argv[:len(w)]) == w), key=len)
+    args, extra = parsers[words].parse_known_args(argv[len(words):])
+    if extra:
+        parsers[()].error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.func(args)
     except (MetastableError, OSError, ValueError, KeyError) as exc:

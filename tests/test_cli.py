@@ -6,6 +6,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 
@@ -372,6 +373,119 @@ class TestParserReuse:
                          str(workdir / "mu.json"), "--function",
                          str(workdir / "f.json")], capsys)
         assert code == 0 and out.strip() == "I(f) = 1"
+
+    def test_flags_do_not_leak_between_commands(self, capsys, monkeypatch):
+        seeds = []
+        slice_class = cli.monotone_slice_class
+
+        def spy(eta, grid, count, seed, **kwargs):
+            seeds.append(seed)
+            return slice_class(eta, grid, count, seed, **kwargs)
+
+        monkeypatch.setattr(cli, "monotone_slice_class", spy)
+        monkeypatch.delenv("METASTABLE_SEED", raising=False)
+        search = ["dct", "search", "--F", "n+1", "--eps", "1/2", "--count", "3"]
+        code, out = run(search + ["--seed", "4", "--json"], capsys)
+        assert code == 0 and "rates" in json.loads(out)
+        code, out = run(search, capsys)
+        assert code == 0 and out.startswith("eps=1/2: E={0..")
+        assert seeds == [4, 0]
+        monotone = ["rate", "monotone", "--eps", "2/5", "--F", "2n+1"]
+        assert run(monotone, capsys) == (0, "E={0..7}\n")
+        code, out = run(monotone + ["--json"], capsys)
+        assert code == 0 and json.loads(out)["E"] == list(range(8))
+        assert run(monotone, capsys) == (0, "E={0..7}\n")
+
+
+# one well-formed option list per command, its first option longer than an
+# abbreviation of it; file names refer to the workdir fixture
+MINIMAL = {
+    ("analyze",): ["--seq", "s.json", "--eps", "1/2", "--F", "n+1",
+                   "--E", "0..2"],
+    ("rate", "monotone"): ["--eps", "2/5", "--F", "2n+1"],
+    ("logic", "check"): ["--structure", "m.json", "--formula", "d(b, a) <= 1"],
+    ("logic", "parse"): ["--structure", "m.json", "--formula", "d(b, a) <= 1"],
+    ("measure", "audit"): ["--file", "mu.json"],
+    ("measure", "integrate"): ["--file", "mu.json", "--function", "f.json"],
+    ("measure", "measurable"): ["--file", "mu.json", "--function", "f.json",
+                                "--u", "0", "--v", "1"],
+    ("dct", "check"): ["--family", "fam.json"],
+    ("dct", "search"): ["--eps", "1/2", "--F", "2n+1", "--count", "2",
+                        "--seed", "1"],
+}
+# each shape of command line: (command words, well-formed options) -> argv
+SHAPES = {
+    "well-formed": lambda w, o: [*w, *o],
+    "json": lambda w, o: [*w, *o, "--json"],
+    "help": lambda w, o: [*w, "-h"],
+    "help-then-extra": lambda w, o: [*w, *o, "-h", "extra"],
+    "group-alone": lambda w, o: [*w[:1]],
+    "group-help": lambda w, o: [*w[:1], "-h"],
+    "missing-option": lambda w, o: [*w, *o[2:]],
+    "missing-value": lambda w, o: [*w, *o[:-1]],
+    "unknown-option": lambda w, o: [*w, *o, "--bogus"],
+    "option-before-words": lambda w, o: ["--json", *w, *o],
+    "extra-word": lambda w, o: [*w, *o, "extra"],
+    "dashes-before-words": lambda w, o: ["--", *w, *o],
+    "dashes-inside-words": lambda w, o: [*w[:1], "--", *w[1:], *o],
+    "dashes-after-words": lambda w, o: [*w, "--", *o],
+    "dashes-at-end": lambda w, o: [*w, *o, "--"],
+    "opt=value": lambda w, o: [*w, f"{o[0]}={o[1]}", *o[2:]],
+    "abbreviation": lambda w, o: [*w, o[0][:4], *o[1:]],
+}
+LONE = {
+    "no-command": [], "unknown-command": ["frob"], "root-help": ["-h"],
+    "unknown-group-command": ["rate", "frob"],
+    "bad-mode": ["logic", "check", "--structure", "m.json", "--formula",
+                 "1 <= 1", "--mode", "exact"],
+    "bad-count": ["dct", "search", "--F", "2n+1", "--eps", "1/2",
+                  "--count", "x"],
+    "ambiguous-abbreviation": ["dct", "search", "--F", "2n+1", "--eps", "1/2",
+                               "--h", "3"],
+}
+CASES = {f"{'-'.join(words)}-{name}": shape(words, options)
+         for words, options in MINIMAL.items()
+         for name, shape in SHAPES.items()} | LONE
+
+
+def outcome(entry, argv):
+    """(exit code, stdout, stderr) of entry(argv), exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = entry(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def nested_main(argv):
+    """The command line as one parse from the root down the tree."""
+    args = build_parser().parse_args(argv)
+    return args.func(args)
+
+
+class TestDispatch:
+    """main parses with the parser of the leading command words alone, and
+    answers exactly as a parse from the root does."""
+
+    @pytest.mark.parametrize("argv", CASES.values(), ids=CASES)
+    def test_same_answer_as_the_nested_parse(self, workdir, monkeypatch,
+                                             argv):
+        monkeypatch.chdir(workdir)
+        assert outcome(main, argv) == outcome(nested_main, argv)
+
+    def test_well_formed_commands_skip_the_root_parse(self, workdir,
+                                                      monkeypatch):
+        monkeypatch.chdir(workdir)
+        root = build_parser()
+        refuse = AssertionError("the root parser parsed a command line")
+        with mock.patch.object(root, "parse_args", side_effect=refuse), \
+                mock.patch.object(root, "parse_known_args",
+                                  side_effect=refuse):
+            for words, options in MINIMAL.items():
+                code, out, err = outcome(main, [*words, *options])
+                assert code in (0, 1) and out and not err, words
 
 
 def usage_error(args, capsys):

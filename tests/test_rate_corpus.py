@@ -485,8 +485,8 @@ def draw_rows(rng: random.Random) -> list:
 
 def command_line_rows(commands: dict, files: dict) -> list:
     """The command line's own refusals and accepted spellings, around one
-    well-formed option list per command (its first option at least four
-    characters long): help at each level, the group word alone, a missing
+    well-formed option list per command (its first option longer than
+    four characters): help at each level, the group word alone, a missing
     option, an unknown or misplaced one, an extra word, `--` before, inside
     and after the command words, `--opt=value` and an abbreviation."""
     argvs = {}
